@@ -39,6 +39,7 @@ from .simulate import estimate, sample_shots
 from .witness import (
     bounds,
     concurrence,
+    lower_bound,
     moments_direct,
     negativity,
     rescaled_witness,
@@ -47,6 +48,9 @@ from .witness import (
 )
 
 BOUND_SLACK = 1e-9
+# absolute rounding error of w, which is -16 times a polynomial whose O(1)
+# terms cancel; measured at up to ~1e-15 on near-product pure states
+W_SLACK = 1e-14
 
 
 class UsageError(Exception):
@@ -148,6 +152,16 @@ def _moment_triples(rho):
     return sets, dev
 
 
+def _in_corridor(w, lo, n, c) -> bool:
+    """f(w) <= N <= C <= w^(1/4) up to rounding.
+
+    The upper edge is compared through its forward map, C^4 <= w: near
+    w = 0, w**0.25 magnifies w's rounding error to several 1e-9, which
+    would reject valid near-product pure states.
+    """
+    return lo - BOUND_SLACK <= n <= c + BOUND_SLACK and c ** 4 <= w * (1.0 + BOUND_SLACK) + W_SLACK
+
+
 def cmd_report(args):
     rho, label = _load_state(args.state)
     _check_format(args, allowed=("json",), default="json")
@@ -175,8 +189,7 @@ def cmd_scatter(args):
         n = negativity(rho)
         c = concurrence(rho)
         lo, hi = bounds(w)
-        ok = (lo - BOUND_SLACK <= n) and (n <= c + BOUND_SLACK) and (c <= hi + BOUND_SLACK)
-        if not ok:
+        if not _in_corridor(w, lo, n, c):
             raise CheckFailure(
                 f"bound violation at sample {i} (seed {seed + i}): "
                 f"f(w)={lo!r} N={n!r} C={c!r} w^(1/4)={hi!r} w={w!r}"
@@ -185,7 +198,7 @@ def cmd_scatter(args):
     return "\n".join(lines) + "\n", 0
 
 
-def cmd_simulate(args) -> str:
+def cmd_simulate(args) -> tuple:
     rho, label = _load_state(args.state)
     seed = _require_seed(args)
     _check_format(args, allowed=("json",), default="json")
@@ -300,17 +313,21 @@ def _verify_suites(kind: str, samples: int, seed: int):
         dev = max(dev, abs(witness_value(moments_direct(rho)) - det))
     yield ("witness polynomial equals det of the partial transpose", f"max dev {dev:.2e}", dev < 1e-10)
 
-    worst = 0.0
+    worst = worst_upper = 0.0
     ok = True
     for rho in batch:
         w = min(1.0, rescaled_witness(witness_value(moments_direct(rho))))
         n = negativity(rho)
         c = concurrence(rho)
-        lo, hi = bounds(w)
-        slack = max(lo - n, n - c, c - hi)
-        worst = max(worst, slack)
-        ok = ok and slack <= BOUND_SLACK
-    yield ("bound corridor f(w) <= N <= C <= w^(1/4)", f"worst slack {worst:.2e}", ok)
+        lo = lower_bound(w)
+        worst = max(worst, lo - n, n - c)
+        worst_upper = max(worst_upper, c ** 4 - w)
+        ok = ok and _in_corridor(w, lo, n, c)
+    yield (
+        "bound corridor f(w) <= N <= C <= w^(1/4)",
+        f"worst slack {worst:.2e}, worst C^4 - w {worst_upper:.2e}",
+        ok,
+    )
 
 
 def cmd_verify(args):

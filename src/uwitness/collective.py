@@ -16,17 +16,36 @@ The swap pairs of each layer, per copy count:
 Each layer squares to the identity, so its +/-1 eigenspace projectors realize
 a two-outcome parity measurement; measuring stage 1 projectively and then
 stage 2 on the post-measurement state gives four outcome probabilities whose
-signed sum is the moment.  The stage-1 and stage-2 parities of a layer can
-also be read out pairwise: the layer projectors decompose into products of
-two-qubit swap projectors (antisymmetric vs symmetric), composed recursively
-from n=2 up to n=4.  That decomposition is built here and checked against
-(I +/- layer)/2 in the test suite.
+signed sum is the moment.
+
+Every number the measurement yields is a permutation trace
+t(pi) = tr[pi rho^(x)n] (the swap-test construction of Ekert et al.,
+PRL 88, 217901 (2002)).  With the stage-1 layer L1, the stage-2 layer L2,
+P_y = (I + y L1)/2 and Q_x = (I + x L2)/2, and since L1 and L2 square to I,
+
+    p(x, y) = tr[Q_x P_y rho^(x)n P_y Q_x]
+            = [2 t(I) + 2y t(L1) + x t(L2) + xy (t(L1 L2) + t(L2 L1))
+               + x t(L1 L2 L1)] / 8,
+
+with t(I) = (tr rho)^n = 1 for a state; (t(I) + y t(L1))/2 is the stage-1
+probability of outcome y.  The cycle route is t(L1 L2) and the
+squared-sum route uses (L1 + L2)^2 = 2I + L1 L2 + L2 L1.  Each t(pi) is one
+einsum over n copies of the 2x2x2x2 tensor of rho, whose subscripts pair the
+row label of every qubit with the column label of its image under pi.  No
+4^n-dimensional operator is built at run time.
+
+The dense operators -- swap_layer, parity_projector (assembled from two-qubit
+swap projectors, composed recursively from n=2 up to n=4), moment_observable
+and symmetrized_copies -- are kept as the oracle for the claims about the
+operators themselves: projector algebra, spectra, the seven projections and
+nondemolition.  The test suite checks the traces against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from string import ascii_letters
 
 import numpy as np
 
@@ -143,11 +162,6 @@ def moment_observable(n: int) -> np.ndarray:
     return _frozen(s @ s)
 
 
-@lru_cache(maxsize=None)
-def _cycle_operator(n: int) -> np.ndarray:
-    return _frozen(swap_layer(n, 1) @ swap_layer(n, 2))
-
-
 def observable_spectrum(n: int) -> tuple:
     """Distinct eigenvalues of moment_observable(n), rounded at 1e-8, ascending."""
     eigs = hermitian_eig(moment_observable(n))
@@ -160,24 +174,63 @@ def projection_count() -> int:
     return 2 + len(observable_spectrum(3)) + len(observable_spectrum(4))
 
 
-def _expect(op: np.ndarray, rn: np.ndarray) -> float:
-    # tr(op @ rn) without forming the product matrix
-    return np.einsum("ij,ji->", op, rn).real
+def _copy_tensor(rho: np.ndarray) -> np.ndarray:
+    """One copy of rho as the tensor r[a_row, b_row, a_col, b_col]."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 two-qubit matrix, got shape {rho.shape}")
+    return rho.reshape(2, 2, 2, 2)
+
+
+@lru_cache(maxsize=None)
+def _trace_subscripts(n: int, stages: tuple) -> str:
+    """einsum subscripts of tr[pi rho^(x)n] for pi = layer(stages[0]) @ layer(stages[1]) @ ...
+
+    pi maps basis state `src` to the state whose qubit q holds bit
+    source[q] of `src`, so tr[pi R] = sum_src R[src, pi(src)]: the column
+    label of qubit q is the row label of qubit source[q].  The sum runs over
+    one binary label per qubit, at most 2^8 terms (n = 4); numpy's one-pass
+    contraction is cheaper there than planning and running a pairwise path.
+    """
+    layout = RegisterLayout(n)
+    source = list(range(layout.n_qubits))
+    for stage in stages:
+        swap = list(range(layout.n_qubits))
+        for side, i, j in _LAYER_PAIRS[(n, stage)]:
+            qi, qj = _qubit_of(layout, side, i), _qubit_of(layout, side, j)
+            swap[qi], swap[qj] = qj, qi
+        source = [swap[q] for q in source]
+    copies = [(layout.a(k), layout.b(k)) for k in range(1, n + 1)]
+    return ",".join(
+        ascii_letters[a] + ascii_letters[b] + ascii_letters[source[a]] + ascii_letters[source[b]]
+        for a, b in copies
+    ) + "->"
+
+
+def _permutation_trace(r: np.ndarray, n: int, stages: tuple) -> float:
+    """Re t(pi) = Re tr[pi rho^(x)n] for the layer product named by `stages`."""
+    return float(np.einsum(_trace_subscripts(n, stages), *([r] * n)).real)
 
 
 def moment_cycle(rho: np.ndarray, n: int) -> float:
     """Moment as tr[(stage1 stage2) rho^(x)n]; the layer product is an n-cycle
     on each side register, and the order of the factors does not matter."""
     _check_n(n)
-    return float(_expect(_cycle_operator(n), tensor_power(np.asarray(rho, dtype=complex), n)))
+    return _permutation_trace(_copy_tensor(rho), n, (1, 2))
 
 
 def moment_via_observable(rho: np.ndarray, n: int) -> float:
     """Moment as tr[moment_observable rho^(x)n] / 2 - 1 (n = 3 or 4 only)."""
     if n not in (3, 4):
         raise ValueError(f"the squared-sum route needs n in (3, 4), got {n}")
-    rn = tensor_power(np.asarray(rho, dtype=complex), n)
-    return float(0.5 * _expect(moment_observable(n), rn) - 1.0)
+    r = _copy_tensor(rho)
+    # (L1 + L2)^2 = 2I + L1 L2 + L2 L1
+    expectation = (
+        2.0 * _permutation_trace(r, n, ())
+        + _permutation_trace(r, n, (1, 2))
+        + _permutation_trace(r, n, (2, 1))
+    )
+    return 0.5 * expectation - 1.0
 
 
 @dataclass(frozen=True)
@@ -213,17 +266,21 @@ def outcome_probabilities(rho: np.ndarray, n: int) -> OutcomeTable:
     """Sequential probabilities tr[Q_x P_y rho^(x)n P_y Q_x].
 
     Stage 1 (P) is measured first; its post-measurement branches are then
-    measured with stage 2 (Q).  The four probabilities sum to one.
+    measured with stage 2 (Q).  The four probabilities sum to one.  They are
+    evaluated from six permutation traces (see the module docstring).
     """
     _check_n(n)
-    rn = tensor_power(np.asarray(rho, dtype=complex), n)
+    r = _copy_tensor(rho)
+    t_id, t1, t2, t12, t21, t121 = (
+        _permutation_trace(r, n, stages) for stages in ((), (1,), (2,), (1, 2), (2, 1), (1, 2, 1))
+    )
     probs = np.empty((2, 2))
     for yi, y in enumerate(OUTCOME_SIGNS):
-        p = parity_projector(n, 1, y)
-        branch = p @ rn @ p
+        # grouped so that outcomes the state forbids (e.g. the singlet's) come out exactly 0
+        stage1 = t_id + y * t1
+        stage2 = (t2 + t121) + y * (t12 + t21)
         for xi, x in enumerate(OUTCOME_SIGNS):
-            q = parity_projector(n, 2, x)
-            probs[xi, yi] = np.trace(q @ branch @ q).real
+            probs[xi, yi] = (2.0 * stage1 + x * stage2) / 8.0
     return OutcomeTable(n_copies=n, probabilities=probs)
 
 

@@ -22,6 +22,11 @@ from .linalg import partial_transpose, hermitian_eig, eig4_general
 # witness values within this band of zero are treated as "not detected"
 ENTANGLEMENT_ATOL = 1e-12
 
+# lower_bound: where the series start replaces the closed form, and the Newton
+# steps after either start (the second one is already below rounding on [0, 1])
+_SERIES_BELOW = 1e-6
+_NEWTON_STEPS = 2
+
 _SIGMA2 = np.array([[0.0, -1j], [1j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA2, _SIGMA2)
 
@@ -128,15 +133,25 @@ def _check_w(w: float) -> float:
 def lower_bound(w: float) -> float:
     """Tight lower bound on the negativity given w = max(0, -16 * witness).
 
-    Closed-form inverse of w(C) = C (C + 2)^3 / 27, continuous at w = 0.
+    Inverse of the Werner line w(C) = C (C + 2)^3 / 27, continuous at w = 0:
+    the closed-form root, polished by Newton steps on w(C) = w to full
+    relative accuracy.  Below _SERIES_BELOW the closed form cancels two O(1)
+    terms (and returns nan once w**2 underflows against w), so the start
+    there is the first-order series C = 27 w / 8 instead.
     """
     w = _check_w(w)
     if w == 0.0:
         return 0.0
-    x = 3.0 * np.cbrt(2.0 * np.sqrt(w * w * (16.0 * w + 1.0)) - 2.0 * w)
-    z = 1.0 + x - 36.0 * w / x
-    sz = np.sqrt(z)
-    return float(0.5 * (-3.0 + sz + np.sqrt(3.0 - z + 2.0 / sz)))
+    if w < _SERIES_BELOW:
+        c = 27.0 * w / 8.0
+    else:
+        x = 3.0 * np.cbrt(2.0 * np.sqrt(w * w * (16.0 * w + 1.0)) - 2.0 * w)
+        z = 1.0 + x - 36.0 * w / x
+        sz = np.sqrt(z)
+        c = float(0.5 * (-3.0 + sz + np.sqrt(3.0 - z + 2.0 / sz)))
+    for _ in range(_NEWTON_STEPS):
+        c -= (c * (c + 2.0) ** 3 / 27.0 - w) / ((c + 2.0) ** 2 * (4.0 * c + 2.0) / 27.0)
+    return float(c)
 
 
 def upper_bound(w: float) -> float:

@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from uwitness.cli import main
+from uwitness.cli import _in_corridor, _sample_state, main
 from uwitness.states import save_state, werner
 from uwitness.witness import (
     bounds,
+    concurrence,
     moments_direct,
+    negativity,
     rescaled_witness,
     witness_value,
 )
@@ -118,6 +120,16 @@ class TestScatter:
             w, n, c = map(float, line.split(","))
             assert abs(c - w**0.25) < 1e-9
             assert abs(n - c) < 1e-9  # pure states: N = C
+
+    def test_near_product_pure_state_inside_corridor(self):
+        # sample 15500 of `--ensemble pure --seed 300000`: w ~ 4e-10 carries
+        # ~1e-15 absolute error, which w**0.25 magnifies beyond a 1e-9 slack
+        rho = _sample_state("pure", 300000, 15500)
+        w = min(1.0, rescaled_witness(witness_value(moments_direct(rho))))
+        n, c = negativity(rho), concurrence(rho)
+        lo, hi = bounds(w)
+        assert c > hi + 1e-9
+        assert _in_corridor(w, lo, n, c)
 
     def test_seed_is_required(self, capsys):
         code, _, err = run(capsys, "--command", "scatter", "--samples", "3")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import uwitness.collective as collective_module
 from uwitness.collective import (
     COPY_COUNTS,
     OutcomeTable,
@@ -16,7 +17,8 @@ from uwitness.collective import (
     symmetrized_copies,
 )
 from uwitness.linalg import RegisterLayout, hermitian_eig, partial_transpose, tensor_power
-from uwitness.states import random_mixed_state, singlet, werner
+from uwitness.simulate import sample_shots
+from uwitness.states import phi_plus, random_mixed_state, random_pure_state, singlet, werner
 from uwitness.witness import moments_direct
 
 MAX_MIXED = np.eye(4) / 4
@@ -249,3 +251,81 @@ class TestSymmetrizedCopies:
         assert abs(np.trace(rp) - 1.0) < 1e-12
         assert np.abs(rp - rp.conj().T).max() < 1e-14
         assert hermitian_eig(rp).min() > -1e-12
+
+
+def oracle_states():
+    """Named edge cases plus random HS and pure states, as (label, rho)."""
+    rng = np.random.default_rng(41)
+    v = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    rank2 = v @ v.conj().T
+    yield "singlet", singlet()
+    yield "phi_plus", phi_plus()
+    yield "maximally mixed", MAX_MIXED
+    yield "werner 1/3 - 1e-9", werner(1 / 3 - 1e-9)
+    yield "werner 1/3 + 1e-9", werner(1 / 3 + 1e-9)
+    yield "rank 2", rank2 / np.trace(rank2).real
+    for k in range(5):
+        yield f"hs {k}", random_mixed_state(rng)
+        yield f"pure {k}", random_pure_state(rng)
+
+
+class TestEngineAgainstDenseOracle:
+    """The permutation-trace engine against the dense 4^n-dimensional operators."""
+
+    def test_outcome_tables(self):
+        for label, rho in oracle_states():
+            for n in COPY_COUNTS:
+                rn = tensor_power(rho, n)
+                table = outcome_probabilities(rho, n).probabilities
+                for yi, y in enumerate((1, -1)):
+                    p = parity_projector(n, 1, y)
+                    for xi, x in enumerate((1, -1)):
+                        q = parity_projector(n, 2, x)
+                        dense = np.trace(q @ p @ rn @ p @ q).real
+                        assert abs(table[xi, yi] - dense) < 1e-12, (label, n, x, y)
+
+    def test_cycle_and_observable_routes(self):
+        for label, rho in oracle_states():
+            for n in COPY_COUNTS:
+                rn = tensor_power(rho, n)
+                cycle = np.trace(swap_layer(n, 1) @ swap_layer(n, 2) @ rn).real
+                assert abs(moment_cycle(rho, n) - cycle) < 1e-12, (label, n)
+                if n >= 3:
+                    observable = 0.5 * np.trace(moment_observable(n) @ rn).real - 1.0
+                    assert abs(moment_via_observable(rho, n) - observable) < 1e-12, (label, n)
+
+    def test_unnormalized_input_matches_oracle(self):
+        # t(I) = (tr rho)^n enters the table as it does the dense trace
+        rho = 2.0 * werner(0.6)
+        for n in COPY_COUNTS:
+            rn = tensor_power(rho, n)
+            p, q = parity_projector(n, 1, 1), parity_projector(n, 2, 1)
+            dense = np.trace(q @ p @ rn @ p @ q).real
+            assert abs(outcome_probabilities(rho, n).probabilities[0, 0] - dense) < 1e-12
+
+    def test_wrong_shape_rejected(self):
+        for bad in (np.eye(3), np.eye(2), np.zeros(16), np.zeros((2, 8))):
+            with pytest.raises(ValueError):
+                outcome_probabilities(bad, 2)
+            with pytest.raises(ValueError):
+                moment_cycle(bad, 3)
+            with pytest.raises(ValueError):
+                moment_via_observable(bad, 4)
+
+    def test_runtime_routes_build_no_dense_operator(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("tensor_power called at run time")
+
+        monkeypatch.setattr(collective_module, "tensor_power", forbidden)
+        caches = (swap_layer, parity_projector, moment_observable)
+        for cache in caches:
+            cache.cache_clear()
+        rho = random_mixed_state(np.random.default_rng(42))
+        for n in COPY_COUNTS:
+            outcome_probabilities(rho, n)
+            moment_cycle(rho, n)
+            sample_shots(rho, n, 100, seed=n)
+        moments_collective(rho)
+        for n in (3, 4):
+            moment_via_observable(rho, n)
+        assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]

@@ -139,6 +139,15 @@ def test_lower_bound_inverts_werner_line():
         assert abs(lower_bound(w) - c) < 1e-9, c
 
 
+def test_lower_bound_relative_accuracy_near_zero():
+    # the closed form alone loses digits as w -> 0 (2.3e-5 relative at 1e-12)
+    # and returns nan once w**2 underflows against w
+    grid = np.concatenate([np.logspace(-15.0, 0.0, 151), [1e-20, 1e-100, 1e-300]])
+    for w in grid:
+        c = lower_bound(w)
+        assert abs(c * (c + 2) ** 3 / 27.0 - w) <= 1e-9 * w, w
+
+
 def test_lower_bound_monotone():
     grid = np.linspace(0.0, 1.0, 200)
     vals = [lower_bound(w) for w in grid]

@@ -32,7 +32,7 @@ def main():
     worst_slack = -np.inf
     for i in range(SAMPLES):
         rho = random_mixed_state(np.random.default_rng(SEED + i))
-        w = min(1.0, rescaled_witness(witness_value(moments_direct(rho))))
+        w = rescaled_witness(witness_value(moments_direct(rho)))
         n, c = negativity(rho), concurrence(rho)
         lo, hi = bounds(w)
         worst_slack = max(worst_slack, lo - n, n - c, c - hi)

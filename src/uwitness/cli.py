@@ -4,8 +4,15 @@ Four commands, selected with --command:
 
   report    witness, bounds, and three-route moments for one state (JSON)
   scatter   Monte Carlo sweep of (w, negativity, concurrence) rows (CSV)
-  verify    internal consistency suites, one PASS/FAIL line each (text)
+  verify    the paper's claims on random states, one PASS/FAIL line each (text)
   simulate  finite-shot estimation with a bootstrap interval (JSON)
+
+verify runs the uwitness.checks functions that tests/test_acceptance.py
+runs too.  Suite -> acceptance criterion: moment routes -> 3, projector
+composition -> none (verify only), spectra and projection count -> 4,
+stage-1 nondemolition -> 6, invariant route and local-unitary drift -> 5,
+witness = det -> 2, bound corridor -> 1 (through checks.in_corridor, which
+scatter applies to every row).
 
 Exit codes: 0 success, 1 a verification suite or state validation failed,
 2 usage or file I/O error.
@@ -20,37 +27,11 @@ import sys
 
 import numpy as np
 
-from . import states
-from .collective import (
-    COPY_COUNTS,
-    moment_cycle,
-    moment_via_observable,
-    moments_collective,
-    observable_spectrum,
-    outcome_probabilities,
-    parity_projector,
-    projection_count,
-    swap_layer,
-    symmetrized_copies,
-)
-from .invariants import apply_local_unitary, decompose, makhlin, moments_via_invariants
-from .linalg import hermitian_eig, partial_transpose, tensor_power
+from . import checks, states
+from .collective import COPY_COUNTS, moments_collective
+from .invariants import moments_via_invariants
 from .simulate import estimate, sample_shots
-from .witness import (
-    bounds,
-    concurrence,
-    lower_bound,
-    moments_direct,
-    negativity,
-    rescaled_witness,
-    witness_report,
-    witness_value,
-)
-
-BOUND_SLACK = 1e-9
-# absolute rounding error of w, which is -16 times a polynomial whose O(1)
-# terms cancel; measured at up to ~1e-15 on near-product pure states
-W_SLACK = 1e-14
+from .witness import moments_direct, witness_report, witness_value
 
 
 class UsageError(Exception):
@@ -77,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="named state ('singlet', 'phi_plus', 'werner:0.5', 'product:0.7', "
         "'pure_schmidt:0.8') or path to a JSON state file",
     )
-    p.add_argument("--ensemble", choices=("hs", "pure"), default="hs",
+    p.add_argument("--ensemble", choices=states.ENSEMBLE_KINDS, default="hs",
                    help="random ensemble for scatter/verify (default: hs)")
     p.add_argument("--samples", type=int, default=100,
                    help="number of random states (default: 100)")
@@ -138,42 +119,16 @@ def _sample_state(kind: str, seed: int, index: int) -> np.ndarray:
     return states.random_mixed_state(rng)
 
 
-def _moment_triples(rho):
-    m_direct = moments_direct(rho)
-    m_coll = moments_collective(rho)
-    m_inv = moments_via_invariants(rho)
-    sets = (m_direct, m_coll, m_inv)
-    dev = max(
-        abs(a - b)
-        for s1 in sets
-        for s2 in sets
-        for a, b in zip(s1.as_tuple(), s2.as_tuple())
-    )
-    return sets, dev
-
-
-def _in_corridor(w, lo, n, c) -> bool:
-    """f(w) <= N <= C <= w^(1/4) up to rounding.
-
-    The upper edge is compared through its forward map, C^4 <= w: near
-    w = 0, w**0.25 magnifies w's rounding error to several 1e-9, which
-    would reject valid near-product pure states.
-    """
-    return lo - BOUND_SLACK <= n <= c + BOUND_SLACK and c ** 4 <= w * (1.0 + BOUND_SLACK) + W_SLACK
-
-
 def cmd_report(args):
     rho, label = _load_state(args.state)
     _check_format(args, allowed=("json",), default="json")
     rep = witness_report(rho)
-    (m_direct, m_coll, m_inv), dev = _moment_triples(rho)
+    sets = (moments_direct(rho), moments_collective(rho), moments_via_invariants(rho))
     doc = {"state": label}
     doc.update(rep.as_dict())
-    doc["moments"] = {
-        m.source: {"pi2": m.pi2, "pi3": m.pi3, "pi4": m.pi4}
-        for m in (m_direct, m_coll, m_inv)
-    }
-    doc["max_moment_deviation"] = dev
+    doc["moments"] = {m.source: {"pi2": m.pi2, "pi3": m.pi3, "pi4": m.pi4} for m in sets}
+    # the largest pairwise gap between routes, per moment
+    doc["max_moment_deviation"] = max(max(v) - min(v) for v in zip(*(m.as_tuple() for m in sets)))
     return json.dumps(doc, indent=2) + "\n", 0
 
 
@@ -184,15 +139,12 @@ def cmd_scatter(args):
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
     lines = ["w,negativity,concurrence"]
     for i in range(args.samples):
-        rho = _sample_state(args.ensemble, seed, i)
-        w = min(1.0, rescaled_witness(witness_value(moments_direct(rho))))
-        n = negativity(rho)
-        c = concurrence(rho)
-        lo, hi = bounds(w)
-        if not _in_corridor(w, lo, n, c):
+        rep = witness_report(_sample_state(args.ensemble, seed, i))
+        w, lo, n, c = rep.w, rep.lower_bound, rep.negativity, rep.concurrence
+        if not checks.in_corridor(w, lo, n, c):
             raise CheckFailure(
                 f"bound violation at sample {i} (seed {seed + i}): "
-                f"f(w)={lo!r} N={n!r} C={c!r} w^(1/4)={hi!r} w={w!r}"
+                f"f(w)={lo!r} N={n!r} C={c!r} w^(1/4)={rep.upper_bound!r} w={w!r}"
             )
         lines.append(f"{w!r},{n!r},{c!r}")
     return "\n".join(lines) + "\n", 0
@@ -241,93 +193,32 @@ def cmd_simulate(args) -> tuple:
 
 
 def _verify_suites(kind: str, samples: int, seed: int):
-    """Yield (name, detail, passed) rows for the consistency suites."""
+    """Yield (name, detail, passed) rows, one uwitness.checks claim each."""
     sampler = states.StateSampler(kind, seed)
     batch = [sampler.sample() for _ in range(samples)]
 
-    dev = 0.0
-    for rho in batch:
-        m = moments_direct(rho)
-        for n, direct in zip(COPY_COUNTS, m.as_tuple()):
-            probs = outcome_probabilities(rho, n)
-            routes = [moment_cycle(rho, n), probs.moment]
-            if n >= 3:
-                routes.append(moment_via_observable(rho, n))
-            dev = max(dev, max(abs(r - direct) for r in routes))
-            dev = max(dev, abs(probs.as_vector().sum() - 1.0))
-    yield ("moment routes agree (direct/cycle/observable/sequential)", f"max dev {dev:.2e}", dev < 1e-10)
+    def max_dev(name, dev, limit):
+        return name, f"max dev {dev:.2e}", dev < limit
 
-    dev = 0.0
-    for n in COPY_COUNTS:
-        for stage in (1, 2):
-            layer = swap_layer(n, stage)
-            eye = np.eye(layer.shape[0])
-            for sign in (1, -1):
-                proj = parity_projector(n, stage, sign)
-                dev = max(dev, np.abs(proj - (eye + sign * layer) / 2.0).max())
-    yield ("pairwise-composed projectors equal (I +/- layer)/2", f"max dev {dev:.2e}", dev < 1e-12)
-
-    s3, s4 = observable_spectrum(3), observable_spectrum(4)
-    ok = s3 == (1.0, 4.0) and s4 == (0.0, 2.0, 4.0) and projection_count() == 7
-    yield (
-        "observable spectra and projection count",
-        f"n=3 {list(s3)}, n=4 {list(s4)}, count {projection_count()}",
-        ok,
-    )
-
-    dev = 0.0
-    for rho in batch[: max(1, samples // 10)]:
-        for n in COPY_COUNTS:
-            rp = symmetrized_copies(rho, n)
-            layer = swap_layer(n, 1)
-            dev = max(dev, np.abs(layer @ rp - rp @ layer).max())
-            rn = tensor_power(rho, n)
-            for sign in (1, -1):
-                proj = parity_projector(n, 1, sign)
-                dev = max(dev, np.abs(proj @ rp @ proj - proj @ rn @ proj).max())
-    yield ("stage-1 parity is nondemolition on the symmetrized stack", f"max dev {dev:.2e}", dev < 1e-12)
-
-    dev = 0.0
-    for rho in batch:
-        m = moments_direct(rho)
-        mi = moments_via_invariants(rho)
-        dev = max(dev, max(abs(a - b) for a, b in zip(m.as_tuple(), mi.as_tuple())))
-    yield ("invariant combinations reproduce the moments", f"max dev {dev:.2e}", dev < 1e-10)
-
-    rng = np.random.default_rng(seed + 1)
-    dev = 0.0
-    for rho in batch[: max(1, samples // 20)]:
-        base = makhlin(decompose(rho))
-        for _ in range(10):
-            rotated = apply_local_unitary(rho, states.haar_unitary(rng), states.haar_unitary(rng))
-            inv = makhlin(decompose(rotated))
-            dev = max(
-                dev,
-                max(abs(getattr(inv, f) - getattr(base, f)) for f in vars(inv)),
-            )
-    yield ("invariants unchanged under local unitaries", f"max dev {dev:.2e}", dev < 1e-9)
-
-    dev = 0.0
-    for rho in batch:
-        det = float(np.prod(hermitian_eig(partial_transpose(rho))))
-        dev = max(dev, abs(witness_value(moments_direct(rho)) - det))
-    yield ("witness polynomial equals det of the partial transpose", f"max dev {dev:.2e}", dev < 1e-10)
-
-    worst = worst_upper = 0.0
-    ok = True
-    for rho in batch:
-        w = min(1.0, rescaled_witness(witness_value(moments_direct(rho))))
-        n = negativity(rho)
-        c = concurrence(rho)
-        lo = lower_bound(w)
-        worst = max(worst, lo - n, n - c)
-        worst_upper = max(worst_upper, c ** 4 - w)
-        ok = ok and _in_corridor(w, lo, n, c)
-    yield (
-        "bound corridor f(w) <= N <= C <= w^(1/4)",
-        f"worst slack {worst:.2e}, worst C^4 - w {worst_upper:.2e}",
-        ok,
-    )
+    yield max_dev("moment routes agree (direct/cycle/observable/sequential)",
+                  checks.moment_routes(batch), 1e-10)
+    yield max_dev("pairwise-composed projectors equal (I +/- layer)/2",
+                  checks.projector_composition(), 1e-12)
+    s3, s4, count = checks.spectra_and_count()
+    yield ("observable spectra and projection count", f"n=3 {list(s3)}, n=4 {list(s4)}, count {count}",
+           (s3, s4, count) == ((1.0, 4.0), (0.0, 2.0, 4.0), 7))
+    yield max_dev("stage-1 parity is nondemolition on the symmetrized stack",
+                  checks.nondemolition(batch[: max(1, samples // 10)]), 1e-12)
+    yield max_dev("invariant combinations reproduce the moments",
+                  checks.invariant_route(batch), 1e-10)
+    yield max_dev("invariants unchanged under local unitaries",
+                  checks.local_unitary_drift(batch[: max(1, samples // 20)],
+                                             np.random.default_rng(seed + 1), 10), 1e-9)
+    yield max_dev("witness polynomial equals det of the partial transpose",
+                  checks.witness_det(batch), 1e-10)
+    slack, upper, inside = checks.corridor(batch)
+    yield ("bound corridor f(w) <= N <= C <= w^(1/4)",
+           f"worst slack {slack:.2e}, worst C^4 - w {upper:.2e}", inside)
 
 
 def cmd_verify(args):

@@ -138,14 +138,3 @@ def hermitian_eig(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
         )
     return np.linalg.eigvalsh(m)
 
-
-def eig4_general(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a general (non-Hermitian) 4x4 matrix.
-
-    Dimension-gated on purpose: the only non-Hermitian eigenproblem in this
-    package is the 4x4 spin-flip product used for the concurrence.
-    """
-    m = np.asarray(m)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    return np.linalg.eigvals(m)

@@ -11,15 +11,7 @@ from .linalg import HERMITICITY_ATOL
 TRACE_ATOL = 1e-10
 POSITIVITY_ATOL = 1e-9
 
-_ENSEMBLE_ALIASES = {
-    "hs": "hs",
-    "hilbert-schmidt": "hs",
-    "hilbert-schmidt-mixed": "hs",
-    "mixed": "hs",
-    "pure": "pure",
-    "haar-pure": "pure",
-    "haar": "pure",
-}
+ENSEMBLE_KINDS = ("hs", "pure")
 
 
 def validate(rho) -> np.ndarray:
@@ -153,10 +145,9 @@ class StateSampler:
     """
 
     def __init__(self, kind: str = "hs", seed=None):
-        key = _ENSEMBLE_ALIASES.get(str(kind).lower())
-        if key is None:
+        if kind not in ENSEMBLE_KINDS:
             raise ValueError(f"unknown ensemble kind {kind!r} (use 'hs' or 'pure')")
-        self.kind = key
+        self.kind = kind
         self._rng = np.random.default_rng(seed)
 
     def sample(self) -> np.ndarray:

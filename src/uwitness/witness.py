@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .linalg import partial_transpose, hermitian_eig, eig4_general
+from .linalg import partial_transpose, hermitian_eig
 
 # witness values within this band of zero are treated as "not detected"
 ENTANGLEMENT_ATOL = 1e-12
@@ -80,8 +80,9 @@ def witness_value(moments: MomentSet) -> float:
 
 
 def rescaled_witness(value: float) -> float:
-    """w = max(0, -16 * witness) in [0, 1]; 0 for any PPT (undetected) state."""
-    return max(0.0, -16.0 * value)
+    """w = -16 * witness clamped to [0, 1]; 0 for any PPT (undetected) state,
+    and eps overshoot past 1 for maximally entangled states is cut back."""
+    return min(1.0, max(0.0, -16.0 * value))
 
 
 def negativity(rho: np.ndarray) -> float:
@@ -120,7 +121,7 @@ def concurrence_spinflip_eigs(rho: np.ndarray) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=complex)
     m = rho @ _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
-    lam = np.sqrt(np.clip(eig4_general(m).real, 0.0, None))
+    lam = np.sqrt(np.clip(np.linalg.eigvals(m).real, 0.0, None))
     return np.sort(lam)[::-1]
 
 
@@ -168,7 +169,6 @@ def witness_report(rho: np.ndarray) -> WitnessReport:
     """Witness, rescaled value, exact measures, and the bound corridor for one state."""
     value = witness_value(moments_direct(rho))
     w = rescaled_witness(value)
-    w = min(w, 1.0)  # guard against eps overshoot for maximally entangled states
     lo, hi = bounds(w)
     return WitnessReport(
         witness=float(value),

@@ -5,31 +5,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 import numpy as np
 
+from uwitness import checks
 from uwitness.cli import main
-from uwitness.collective import (
-    COPY_COUNTS,
-    moment_cycle,
-    moment_via_observable,
-    observable_spectrum,
-    outcome_probabilities,
-    parity_projector,
-    projection_count,
-    swap_layer,
-    symmetrized_copies,
-)
-from uwitness.invariants import apply_local_unitary, decompose, makhlin, moments_via_invariants
-from uwitness.linalg import hermitian_eig, partial_transpose, tensor_power
+from uwitness.collective import COPY_COUNTS
 from uwitness.simulate import estimate, moment_estimate, sample_shots
-from uwitness.states import (
-    haar_unitary,
-    pure_schmidt,
-    random_mixed_state,
-    random_pure_state,
-    singlet,
-    werner,
-)
+from uwitness.states import pure_schmidt, random_mixed_state, random_pure_state, singlet, werner
 from uwitness.witness import (
-    bounds,
     concurrence,
     lower_bound,
     moments_direct,
@@ -37,11 +18,6 @@ from uwitness.witness import (
     rescaled_witness,
     witness_polynomial,
     witness_value,
-)
-
-INVARIANT_FIELDS = (
-    "i1", "i2", "i3", "i4", "i5", "i7", "i8", "i12", "i14",
-    "x1", "x2", "x3", "x4", "y1", "y2", "y3", "y4", "y5", "y6",
 )
 
 
@@ -52,6 +28,10 @@ def announce(k, name, ok):
 
 def hs_state(seed):
     return random_mixed_state(np.random.default_rng(seed))
+
+
+def hs_states(first_seed, count):
+    return [hs_state(first_seed + i) for i in range(count)]
 
 
 def test_criterion_1_bound_corridor_on_10000_states(tmp_path):
@@ -70,8 +50,7 @@ def test_criterion_1_bound_corridor_on_10000_states(tmp_path):
     violations = 0
     for line in rows[1:]:
         w, n, c = map(float, line.split(","))
-        lo, hi = bounds(w)
-        if not (lo - 1e-9 <= n <= c <= hi + 1e-9):
+        if not (checks.in_corridor(w, lower_bound(w), n, c) and n <= c):
             violations += 1
     ok = ok and violations == 0
     announce(1, f"bound corridor on 10000 random states ({violations} violations)", ok)
@@ -79,30 +58,15 @@ def test_criterion_1_bound_corridor_on_10000_states(tmp_path):
 
 def test_criterion_2_witness_equals_determinant():
     """10^3 states: moment polynomial equals the product of PT eigenvalues."""
-    worst = 0.0
-    for i in range(1000):
-        rho = hs_state(101 + i)
-        det = float(np.prod(hermitian_eig(partial_transpose(rho))))
-        worst = max(worst, abs(witness_value(moments_direct(rho)) - det))
+    worst = checks.witness_det(hs_states(101, 1000))
     ok = worst < 1e-10
     announce(2, f"witness equals det of partial transpose (max dev {worst:.2e})", ok)
 
 
 def test_criterion_3_four_moment_routes_agree():
     """200 states, n in 2..4: direct, cycle, observable, and sequential-
-    probability routes agree pairwise."""
-    worst = 0.0
-    for i in range(200):
-        rho = hs_state(4001 + i)
-        m = moments_direct(rho)
-        for n, direct in zip(COPY_COUNTS, m.as_tuple()):
-            values = [direct, moment_cycle(rho, n), outcome_probabilities(rho, n).moment]
-            if n >= 3:
-                values.append(moment_via_observable(rho, n))
-            worst = max(
-                worst,
-                max(abs(a - b) for a in values for b in values),
-            )
+    probability routes agree pairwise, and every outcome table sums to 1."""
+    worst = checks.moment_routes(hs_states(4001, 200))
     ok = worst < 1e-10
     announce(3, f"four moment routes agree on 200 states (max dev {worst:.2e})", ok)
 
@@ -110,8 +74,7 @@ def test_criterion_3_four_moment_routes_agree():
 def test_criterion_4_observable_spectra_and_projection_count():
     """Squared-sum observables have spectra {1,4} and {0,2,4}; seven
     projective outcomes cover all three moments."""
-    s3, s4 = observable_spectrum(3), observable_spectrum(4)
-    count = projection_count()
+    s3, s4, count = checks.spectra_and_count()
     ok = s3 == (1.0, 4.0) and s4 == (0.0, 2.0, 4.0) and count == 7
     announce(4, f"spectra {list(s3)} / {list(s4)}, projection count {count}", ok)
 
@@ -119,27 +82,9 @@ def test_criterion_4_observable_spectra_and_projection_count():
 def test_criterion_5_invariants_route_and_local_unitary_invariance():
     """Invariant combinations reproduce the moments on 10^3 states, and all
     invariants survive 100 random local unitaries."""
-    worst = 0.0
-    for i in range(1000):
-        rho = hs_state(7001 + i)
-        md = moments_direct(rho)
-        mi = moments_via_invariants(rho)
-        worst = max(worst, max(abs(a - b) for a, b in zip(md.as_tuple(), mi.as_tuple())))
-    ok = worst < 1e-10
-
-    rng = np.random.default_rng(31415)
-    worst_lu = 0.0
-    for i in range(20):
-        rho = hs_state(9001 + i)
-        base = makhlin(decompose(rho))
-        for _ in range(5):
-            rotated = apply_local_unitary(rho, haar_unitary(rng), haar_unitary(rng))
-            inv = makhlin(decompose(rotated))
-            worst_lu = max(
-                worst_lu,
-                max(abs(getattr(inv, f) - getattr(base, f)) for f in INVARIANT_FIELDS),
-            )
-    ok = ok and worst_lu < 1e-9
+    worst = checks.invariant_route(hs_states(7001, 1000))
+    worst_lu = checks.local_unitary_drift(hs_states(9001, 20), np.random.default_rng(31415), 5)
+    ok = worst < 1e-10 and worst_lu < 1e-9
     announce(
         5,
         f"invariant moments (max dev {worst:.2e}), local-unitary drift ({worst_lu:.2e})",
@@ -150,33 +95,16 @@ def test_criterion_5_invariants_route_and_local_unitary_invariance():
 def test_criterion_6_symmetrized_stack_is_measurement_safe():
     """50 states, n in 2..4: the symmetrized copy stack commutes with the
     stage-1 layer and projects identically to the raw stack."""
-    worst_comm = 0.0
-    worst_proj = 0.0
-    for i in range(50):
-        rho = hs_state(12001 + i)
-        for n in COPY_COUNTS:
-            rp = symmetrized_copies(rho, n)
-            layer = swap_layer(n, 1)
-            worst_comm = max(worst_comm, np.abs(layer @ rp - rp @ layer).max())
-            rn = tensor_power(rho, n)
-            for sign in (1, -1):
-                proj = parity_projector(n, 1, sign)
-                worst_proj = max(
-                    worst_proj, np.abs(proj @ rp @ proj - proj @ rn @ proj).max()
-                )
-    ok = worst_comm < 1e-12 and worst_proj < 1e-12
-    announce(
-        6,
-        f"symmetrized stack: commutator {worst_comm:.2e}, projection mismatch {worst_proj:.2e}",
-        ok,
-    )
+    worst = checks.nondemolition(hs_states(12001, 50))
+    ok = worst < 1e-12
+    announce(6, f"symmetrized stack: commutator and projection mismatch {worst:.2e}", ok)
 
 
 def test_criterion_7_reference_states():
     """Singlet, werner(0.5), pure Schmidt family, and the separability
     boundary match their closed forms."""
     rep_w = rescaled_witness(witness_value(moments_direct(singlet())))
-    ok = abs(min(1.0, rep_w) - 1.0) < 1e-12
+    ok = abs(rep_w - 1.0) < 1e-12
     ok = ok and abs(negativity(singlet()) - 1.0) < 1e-12
     ok = ok and abs(concurrence(singlet()) - 1.0) < 1e-12
 
@@ -192,11 +120,11 @@ def test_criterion_7_reference_states():
     worst_pure = 0.0
     for lam1 in np.linspace(0.05, 0.95, 19):
         rho = pure_schmidt(lam1)
-        w = min(1.0, rescaled_witness(witness_value(moments_direct(rho))))
+        w = rescaled_witness(witness_value(moments_direct(rho)))
         worst_pure = max(worst_pure, abs(concurrence(rho) - w**0.25))
     for i in range(50):
         rho = random_pure_state(np.random.default_rng(15001 + i))
-        w = min(1.0, rescaled_witness(witness_value(moments_direct(rho))))
+        w = rescaled_witness(witness_value(moments_direct(rho)))
         worst_pure = max(worst_pure, abs(concurrence(rho) - w**0.25))
     ok = ok and worst_pure < 1e-9
 

@@ -3,16 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from uwitness.cli import _in_corridor, _sample_state, main
+from uwitness import checks, witness
+from uwitness.cli import _sample_state, main
 from uwitness.states import save_state, werner
-from uwitness.witness import (
-    bounds,
-    concurrence,
-    moments_direct,
-    negativity,
-    rescaled_witness,
-    witness_value,
-)
+from uwitness.witness import lower_bound, witness_report
 
 
 def run(capsys, *argv):
@@ -103,9 +97,7 @@ class TestScatter:
         assert code == 0
         for line in out.strip().split("\n")[1:]:
             w, n, c = map(float, line.split(","))
-            lo, hi = bounds(w)
-            assert lo - 1e-9 <= n <= c + 1e-9
-            assert c <= hi + 1e-9
+            assert checks.in_corridor(w, lower_bound(w), n, c)
 
     def test_pure_ensemble_saturates_upper_bound(self, capsys):
         code, out, _ = run(
@@ -118,18 +110,15 @@ class TestScatter:
         assert code == 0
         for line in out.strip().split("\n")[1:]:
             w, n, c = map(float, line.split(","))
-            assert abs(c - w**0.25) < 1e-9
+            assert abs(c**4 - w) <= 1e-9 * w + 1e-14
             assert abs(n - c) < 1e-9  # pure states: N = C
 
     def test_near_product_pure_state_inside_corridor(self):
         # sample 15500 of `--ensemble pure --seed 300000`: w ~ 4e-10 carries
         # ~1e-15 absolute error, which w**0.25 magnifies beyond a 1e-9 slack
-        rho = _sample_state("pure", 300000, 15500)
-        w = min(1.0, rescaled_witness(witness_value(moments_direct(rho))))
-        n, c = negativity(rho), concurrence(rho)
-        lo, hi = bounds(w)
-        assert c > hi + 1e-9
-        assert _in_corridor(w, lo, n, c)
+        rep = witness_report(_sample_state("pure", 300000, 15500))
+        assert rep.concurrence > rep.upper_bound + 1e-9
+        assert checks.in_corridor(rep.w, rep.lower_bound, rep.negativity, rep.concurrence)
 
     def test_seed_is_required(self, capsys):
         code, _, err = run(capsys, "--command", "scatter", "--samples", "3")
@@ -160,6 +149,22 @@ class TestVerify:
         _, out1, _ = run(capsys, "--command", "verify", "--samples", "10", "--seed", "4")
         _, out2, _ = run(capsys, "--command", "verify", "--samples", "10", "--seed", "4")
         assert out1 == out2
+
+    def test_route_deviation_fails(self, capsys, monkeypatch):
+        cycle = checks.moment_cycle
+        monkeypatch.setattr(checks, "moment_cycle", lambda rho, n: cycle(rho, n) + 1e-8)
+        code, out, _ = run(capsys, "--command", "verify", "--samples", "10", "--seed", "4")
+        assert code == 1
+        assert "FAIL  moment routes agree" in out and out.count("FAIL") == 2
+        assert out.endswith("overall: FAIL\n")
+
+    def test_corridor_violation_fails(self, capsys, monkeypatch):
+        lower = witness.lower_bound
+        monkeypatch.setattr(witness, "lower_bound", lambda w: lower(w) + 1e-6)
+        code, out, _ = run(capsys, "--command", "verify", "--samples", "10", "--seed", "4")
+        assert code == 1
+        assert "FAIL  bound corridor" in out and out.count("FAIL") == 2
+        assert out.endswith("overall: FAIL\n")
 
 
 class TestSimulate:

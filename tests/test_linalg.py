@@ -3,7 +3,6 @@ import pytest
 
 from uwitness.linalg import (
     RegisterLayout,
-    eig4_general,
     hermitian_eig,
     kron,
     partial_trace,
@@ -166,13 +165,3 @@ def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         hermitian_eig(m)
 
-
-def test_eig4_general_diagonal():
-    vals = eig4_general(np.diag([1.0, 2.0, 3.0, 4.0]))
-    assert np.allclose(np.sort(vals.real), [1, 2, 3, 4])
-    assert np.allclose(vals.imag, 0.0)
-
-
-def test_eig4_general_rejects_other_dims():
-    with pytest.raises(ValueError):
-        eig4_general(np.eye(3))

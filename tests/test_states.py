@@ -128,10 +128,11 @@ class TestSamplers:
         assert np.array_equal(c, d)
 
     def test_kind_aliases_and_errors(self):
-        assert StateSampler("hilbert-schmidt-mixed", 0).kind == "hs"
-        assert StateSampler("haar-pure", 0).kind == "pure"
-        with pytest.raises(ValueError):
-            StateSampler("thermal", 0)
+        assert StateSampler("hs", 0).kind == "hs"
+        assert StateSampler("pure", 0).kind == "pure"
+        for kind in ("haar-pure", "thermal"):
+            with pytest.raises(ValueError):
+                StateSampler(kind, 0)
 
     def test_mean_purity_matches_hilbert_schmidt_value(self):
         # E[tr rho^2] = 2d/(d^2 + 1) = 8/17 for d = 4

@@ -175,7 +175,7 @@ def test_bound_chain_on_random_states():
     rng = np.random.default_rng(23)
     for _ in range(1000):
         rho = random_mixed_state(rng)
-        w = min(1.0, rescaled_witness(witness_value(moments_direct(rho))))
+        w = rescaled_witness(witness_value(moments_direct(rho)))
         n = negativity(rho)
         c = concurrence(rho)
         lo, hi = bounds(w)
@@ -186,14 +186,14 @@ def test_upper_bound_saturated_by_pure_states():
     rng = np.random.default_rng(24)
     for _ in range(200):
         rho = random_pure_state(rng)
-        w = min(1.0, rescaled_witness(witness_value(moments_direct(rho))))
+        w = rescaled_witness(witness_value(moments_direct(rho)))
         assert abs(concurrence(rho) - upper_bound(w)) < 1e-9
 
 
 def test_lower_bound_saturated_by_werner_states():
     for p in np.linspace(0.0, 1.0, 21):
         rho = werner(p)
-        w = min(1.0, rescaled_witness(witness_value(moments_direct(rho))))
+        w = rescaled_witness(witness_value(moments_direct(rho)))
         n = negativity(rho)
         assert abs(lower_bound(w) - n) < 1e-8, p
         assert abs(n - concurrence(rho)) < 1e-12, p

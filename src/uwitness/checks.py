@@ -84,16 +84,21 @@ def invariant_route(batch) -> float:
     return dev
 
 
+def _invariant_values(rho) -> np.ndarray:
+    inv = makhlin(decompose(rho))
+    return np.array([*vars(inv).values(), *inv.y])
+
+
 def local_unitary_drift(batch, rng, rotations: int) -> float:
-    """Largest change of any Makhlin invariant under `rotations` local
-    unitaries u_a x u_b per state, each factor Haar-random from `rng`."""
+    """Largest change of any of the nine Makhlin invariants or the six y
+    combinations under `rotations` local unitaries u_a x u_b per state, each
+    factor Haar-random from `rng`."""
     dev = 0.0
     for rho in batch:
-        base = vars(makhlin(decompose(rho)))
+        base = _invariant_values(rho)
         for _ in range(rotations):
             rotated = apply_local_unitary(rho, haar_unitary(rng), haar_unitary(rng))
-            inv = vars(makhlin(decompose(rotated)))
-            dev = max(dev, max(abs(inv[f] - base[f]) for f in base))
+            dev = max(dev, float(np.abs(_invariant_values(rotated) - base).max()))
     return dev
 
 
@@ -119,12 +124,18 @@ def in_corridor(w, lo, n, c) -> bool:
 
 def corridor(batch) -> tuple:
     """(worst of f(w) - N and N - C, worst C^4 - w, whether every state is
-    in_corridor), each state's w, N, C and f(w) from one witness_report."""
-    slack = upper = 0.0
+    in_corridor), each state's w, N, C and f(w) from one witness_report.
+
+    The two worst values are the closest approach to an edge over the
+    entangled states (w > 0), -inf if there are none: a separable state
+    (w = N = C = 0) sits exactly on every edge and would always read 0.
+    """
+    slack = upper = -np.inf
     inside = True
     for rho in batch:
         rep = witness_report(rho)
-        slack = max(slack, rep.lower_bound - rep.negativity, rep.negativity - rep.concurrence)
-        upper = max(upper, rep.concurrence ** 4 - rep.w)
+        if rep.w > 0:
+            slack = max(slack, rep.lower_bound - rep.negativity, rep.negativity - rep.concurrence)
+            upper = max(upper, rep.concurrence ** 4 - rep.w)
         inside = inside and in_corridor(rep.w, rep.lower_bound, rep.negativity, rep.concurrence)
     return slack, upper, inside

@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of random states (default: 100)")
     p.add_argument("--shots", type=int, help="total shot budget for simulate")
     p.add_argument("--seed", type=int,
-                   help="base RNG seed; required for scatter and simulate")
+                   help="RNG seed; required for scatter and simulate")
     p.add_argument("--bootstrap", type=int, default=1000,
                    help="bootstrap resamples for simulate (default: 1000)")
     p.add_argument("--split", default="1,1,1",
@@ -111,12 +111,10 @@ def _check_format(args, allowed, default):
     return fmt
 
 
-def _sample_state(kind: str, seed: int, index: int) -> np.ndarray:
-    # per-sample derived seed: independent of batch size, safe to parallelize
-    rng = np.random.default_rng(seed + index)
-    if kind == "pure":
-        return states.random_pure_state(rng)
-    return states.random_mixed_state(rng)
+def _derived_seeds(seed: int, k: int) -> list:
+    """k seeds drawn from np.random.SeedSequence(seed): unlike seed + i, they
+    share no stream with a neighbouring --seed."""
+    return [int(x) for x in np.random.SeedSequence(seed).generate_state(k)]
 
 
 def cmd_report(args):
@@ -137,13 +135,14 @@ def cmd_scatter(args):
     _check_format(args, allowed=("csv",), default="csv")
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
+    sampler = states.StateSampler(args.ensemble, seed)
     lines = ["w,negativity,concurrence"]
     for i in range(args.samples):
-        rep = witness_report(_sample_state(args.ensemble, seed, i))
+        rep = witness_report(sampler.sample())
         w, lo, n, c = rep.w, rep.lower_bound, rep.negativity, rep.concurrence
         if not checks.in_corridor(w, lo, n, c):
             raise CheckFailure(
-                f"bound violation at sample {i} (seed {seed + i}): "
+                f"bound violation at sample {i} of --seed {seed}: "
                 f"f(w)={lo!r} N={n!r} C={c!r} w^(1/4)={rep.upper_bound!r} w={w!r}"
             )
         lines.append(f"{w!r},{n!r},{c!r}")
@@ -173,11 +172,12 @@ def cmd_simulate(args) -> tuple:
     if alloc.min() < 1:
         raise UsageError(f"shot budget {args.shots} with split {args.split} starves a moment")
 
+    *record_seeds, bootstrap_seed = _derived_seeds(seed, len(COPY_COUNTS) + 1)
     records = [
-        sample_shots(rho, n, int(alloc[k]), seed + k)
+        sample_shots(rho, n, int(alloc[k]), record_seeds[k])
         for k, n in enumerate(COPY_COUNTS)
     ]
-    est = estimate(records, resamples=args.bootstrap, seed=seed + len(COPY_COUNTS))
+    est = estimate(records, resamples=args.bootstrap, seed=bootstrap_seed)
     truth = witness_value(moments_direct(rho))
     doc = {
         "state": label,
@@ -196,6 +196,7 @@ def _verify_suites(kind: str, samples: int, seed: int):
     """Yield (name, detail, passed) rows, one uwitness.checks claim each."""
     sampler = states.StateSampler(kind, seed)
     batch = [sampler.sample() for _ in range(samples)]
+    lu_rng = np.random.default_rng(_derived_seeds(seed, 1)[0])
 
     def max_dev(name, dev, limit):
         return name, f"max dev {dev:.2e}", dev < limit
@@ -212,8 +213,7 @@ def _verify_suites(kind: str, samples: int, seed: int):
     yield max_dev("invariant combinations reproduce the moments",
                   checks.invariant_route(batch), 1e-10)
     yield max_dev("invariants unchanged under local unitaries",
-                  checks.local_unitary_drift(batch[: max(1, samples // 20)],
-                                             np.random.default_rng(seed + 1), 10), 1e-9)
+                  checks.local_unitary_drift(batch[: max(1, samples // 20)], lu_rng, 10), 1e-9)
     yield max_dev("witness polynomial equals det of the partial transpose",
                   checks.witness_det(batch), 1e-10)
     slack, upper, inside = checks.corridor(batch)

@@ -1,79 +1,69 @@
 """Pauli decomposition and local-unitary invariants of a two-qubit state.
 
-The Bloch data (s, p, beta) — one-qubit vectors and the 3x3 correlation
-matrix — transform under local unitaries by independent SO(3) rotations.
-The Makhlin polynomial invariants built from them determine the state up to
-local unitaries; six specific combinations already fix the moments of the
-partially transposed state, hence the witness.
+Every two-qubit state is rho = (1/4) sum_ij T_ij sigma_i x sigma_j with the
+real 4x4 Pauli-coefficient matrix T_ij = tr[(sigma_i x sigma_j) rho],
+sigma_0 = I.  Its blocks are the Bloch data: the one-qubit vectors
+s = T[1:, 0] and p = T[0, 1:] and the 3x3 correlation matrix beta = T[1:, 1:],
+which local unitaries rotate by independent SO(3) rotations.  Makhlin's
+polynomial invariants of (s, p, beta) (Quantum Inf. Process. 1, 243 (2002))
+determine the state up to local unitaries; six combinations of them, `y`,
+already fix the moments of the partially transposed state, hence the witness:
+
+    moments_from_invariants(makhlin(decompose(rho)).y)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .witness import MomentSet
 
-PAULI = tuple(
-    np.array(m, dtype=complex)
-    for m in (
-        [[1, 0], [0, 1]],
-        [[0, 1], [1, 0]],
-        [[0, -1j], [1j, 0]],
-        [[1, 0], [0, -1]],
-    )
+# sigma_0 = I, sigma_x, sigma_y, sigma_z as one (4, 2, 2) stack
+PAULI = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+    dtype=complex,
 )
-
-_EPS = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPS[_i, _j, _k] = 1.0
-    _EPS[_k, _j, _i] = -1.0
+# i+1 and i+2 (mod 3), the rows and columns that make up cofactor i of a 3x3 matrix
+_J, _K = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 @dataclass(frozen=True)
 class BlochDecomposition:
-    """Local Bloch vectors s (side a), p (side b) and correlation matrix beta."""
+    """Pauli-coefficient matrix t[i, j] = tr[(sigma_i x sigma_j) rho] and its
+    blocks: local Bloch vectors s (side a), p (side b), correlations beta."""
 
-    s: np.ndarray
-    p: np.ndarray
-    beta: np.ndarray
+    t: np.ndarray
+
+    @property
+    def s(self) -> np.ndarray:
+        return self.t[1:, 0]
+
+    @property
+    def p(self) -> np.ndarray:
+        return self.t[0, 1:]
+
+    @property
+    def beta(self) -> np.ndarray:
+        return self.t[1:, 1:]
 
 
 def decompose(rho: np.ndarray) -> BlochDecomposition:
-    """Pauli expectation values of a two-qubit state.
-
-    s_i = tr[(sigma_i x I) rho], p_j = tr[(I x sigma_j) rho],
-    beta_ij = tr[(sigma_i x sigma_j) rho]; all real for a valid state.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    s = np.array([np.trace(np.kron(PAULI[i], PAULI[0]) @ rho).real for i in (1, 2, 3)])
-    p = np.array([np.trace(np.kron(PAULI[0], PAULI[j]) @ rho).real for j in (1, 2, 3)])
-    beta = np.array(
-        [[np.trace(np.kron(PAULI[i], PAULI[j]) @ rho).real for j in (1, 2, 3)] for i in (1, 2, 3)]
-    )
-    return BlochDecomposition(s=s, p=p, beta=beta)
+    """Pauli coefficients of a two-qubit state, real for a Hermitian rho."""
+    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    return BlochDecomposition(np.einsum("iac,jbd,cdab->ij", PAULI, PAULI, r).real)
 
 
 def reconstruct(bloch: BlochDecomposition) -> np.ndarray:
-    """Rebuild the density matrix from its Bloch data."""
-    rho = np.kron(PAULI[0], PAULI[0]).astype(complex)
-    for i in range(3):
-        rho += bloch.s[i] * np.kron(PAULI[i + 1], PAULI[0])
-        rho += bloch.p[i] * np.kron(PAULI[0], PAULI[i + 1])
-        for j in range(3):
-            rho += bloch.beta[i, j] * np.kron(PAULI[i + 1], PAULI[j + 1])
-    return rho / 4.0
+    """Rebuild the density matrix, (1/4) sum_ij t_ij sigma_i x sigma_j."""
+    return np.einsum("ij,iac,jbd->abcd", bloch.t, PAULI, PAULI).reshape(4, 4) / 4.0
 
 
 @dataclass(frozen=True)
 class MakhlinInvariants:
-    """Local-unitary invariants of a two-qubit state.
-
-    i1..i14 follow Makhlin's numbering (the subset needed here); x1..x4 are
-    the moment-generating combinations and y1..y6 the minimal six that fix
-    all three moments of the partially transposed state.
-    """
+    """Local-unitary invariants of a two-qubit state, in Makhlin's numbering
+    (the subset that fixes the moments of the partial transpose)."""
 
     i1: float
     i2: float
@@ -84,56 +74,47 @@ class MakhlinInvariants:
     i8: float
     i12: float
     i14: float
-    x1: float
-    x2: float
-    x3: float
-    x4: float
-    y1: float
-    y2: float
-    y3: float
-    y4: float
-    y5: float
-    y6: float
+
+    @property
+    def y(self) -> tuple:
+        """(y1, ..., y6), the six combinations that fix all three moments."""
+        return (self.i2, self.i3, self.i4, self.i7, self.i1 + self.i12,
+                self.i5 + self.i8 + self.i14)
 
 
 def makhlin(bloch: BlochDecomposition) -> MakhlinInvariants:
     """Evaluate the invariants from Bloch data."""
     s, p, beta = bloch.s, bloch.p, bloch.beta
     btb = beta.T @ beta
-    i1 = float(np.linalg.det(beta))
-    i2 = float(np.trace(btb))
-    i3 = float(np.trace(btb @ btb))
-    i4 = float(s @ s)
-    i5 = float((s @ beta) @ (s @ beta))
-    i7 = float(p @ p)
-    i8 = float((beta @ p) @ (beta @ p))
-    i12 = float(s @ beta @ p)
-    i14 = float(np.einsum("ijk,lmn,i,l,jm,kn->", _EPS, _EPS, s, p, beta, beta))
-    x1 = i2 + i4 + i7
-    x2 = i1 + i12
-    x3 = i2 ** 2 - i3
-    x4 = i5 + i8 + i14 + i4 * i7
+    # cofactor matrix, cof_il = beta_{i+1,l+1} beta_{i+2,l+2} - beta_{i+1,l+2} beta_{i+2,l+1}
+    j, k = _J[:, None], _K[:, None]
+    cof = beta[j, _J] * beta[k, _K] - beta[j, _K] * beta[k, _J]
     return MakhlinInvariants(
-        i1=i1, i2=i2, i3=i3, i4=i4, i5=i5, i7=i7, i8=i8, i12=i12, i14=i14,
-        x1=x1, x2=x2, x3=x3, x4=x4,
-        y1=i2, y2=i3, y3=i4, y4=i7, y5=i1 + i12, y6=i5 + i8 + i14,
+        i1=float(beta[0] @ cof[0]),
+        i2=float(np.trace(btb)),
+        i3=float(np.trace(btb @ btb)),
+        i4=float(s @ s),
+        i5=float((s @ beta) @ (s @ beta)),
+        i7=float(p @ p),
+        i8=float((beta @ p) @ (beta @ p)),
+        i12=float(s @ beta @ p),
+        i14=float(2.0 * s @ cof @ p),
     )
 
 
-def moments_from_invariants(inv: MakhlinInvariants) -> MomentSet:
-    """Moments of the partially transposed state from the six y-invariants.
-
-    Deliberately reads only y1..y6 so the six-parameter sufficiency is a
-    structural property of the code, not an accident of algebra:
+def moments_from_invariants(y) -> MomentSet:
+    """Moments of the partially transposed state from the six numbers
+    y = (y1, ..., y6) of MakhlinInvariants.y:
 
         4  pi2 = 1 + x1
         16 pi3 = 1 + 3 x1 + 6 x2
         64 pi4 = 1 + 6 x1 + 24 x2 + x1^2 + 2 x3 + 4 x4
     """
-    x1 = inv.y1 + inv.y3 + inv.y4
-    x2 = inv.y5
-    x3 = inv.y1 ** 2 - inv.y2
-    x4 = inv.y6 + inv.y3 * inv.y4
+    y1, y2, y3, y4, y5, y6 = y
+    x1 = y1 + y3 + y4
+    x2 = y5
+    x3 = y1 ** 2 - y2
+    x4 = y6 + y3 * y4
     return MomentSet(
         pi2=(1.0 + x1) / 4.0,
         pi3=(1.0 + 3.0 * x1 + 6.0 * x2) / 16.0,
@@ -143,13 +124,8 @@ def moments_from_invariants(inv: MakhlinInvariants) -> MomentSet:
 
 
 def moments_via_invariants(rho: np.ndarray) -> MomentSet:
-    """Convenience chain: decompose -> makhlin -> moments."""
-    return moments_from_invariants(makhlin(decompose(rho)))
-
-
-def strip_raw_invariants(inv: MakhlinInvariants) -> MakhlinInvariants:
-    """Copy with the i-fields zeroed; moments_from_invariants must not notice."""
-    return replace(inv, i1=0.0, i2=0.0, i3=0.0, i4=0.0, i5=0.0, i7=0.0, i8=0.0, i12=0.0, i14=0.0)
+    """Convenience chain: decompose -> makhlin -> y -> moments."""
+    return moments_from_invariants(makhlin(decompose(rho)).y)
 
 
 def apply_local_unitary(rho: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:

@@ -84,20 +84,6 @@ def partial_transpose(rho: np.ndarray, d_a: int = 2, d_b: int = 2) -> np.ndarray
     )
 
 
-def partial_trace(rho: np.ndarray, keep: int, d_a: int = 2, d_b: int = 2) -> np.ndarray:
-    """Trace out one side of a bipartite matrix, keeping side 0 (a) or 1 (b)."""
-    rho = np.asarray(rho)
-    d = d_a * d_b
-    if rho.shape != (d, d):
-        raise ValueError(f"expected shape ({d}, {d}), got {rho.shape}")
-    r = rho.reshape(d_a, d_b, d_a, d_b)
-    if keep == 0:
-        return np.einsum("ikjk->ij", r)
-    if keep == 1:
-        return np.einsum("kikj->ij", r)
-    raise ValueError(f"keep must be 0 or 1, got {keep}")
-
-
 def swap_qubits(layout: RegisterLayout, i: int, j: int) -> np.ndarray:
     """Permutation matrix exchanging qubits i and j of the register.
 

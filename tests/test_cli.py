@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from uwitness import checks, witness
-from uwitness.cli import _sample_state, main
-from uwitness.states import save_state, werner
+from uwitness.cli import main
+from uwitness.states import random_pure_state, save_state, werner
 from uwitness.witness import lower_bound, witness_report
 
 
@@ -90,6 +90,23 @@ class TestScatter:
         _, out2, _ = run(capsys, "--command", "scatter", "--samples", "10", "--seed", "5")
         assert out1 == out2
 
+    def test_neighbouring_seeds_share_no_row(self, capsys):
+        _, out7, _ = run(capsys, "--command", "scatter", "--samples", "20", "--seed", "7")
+        _, out8, _ = run(capsys, "--command", "scatter", "--samples", "20", "--seed", "8")
+        rows7, rows8 = out7.strip().split("\n")[1:], out8.strip().split("\n")[1:]
+        assert len(rows7) == len(rows8) == 20
+        # every separable state prints as 0.0,0.0,0.0; the entangled rows
+        # identify their states
+        entangled7 = {r for r in rows7 if r != "0.0,0.0,0.0"}
+        entangled8 = {r for r in rows8 if r != "0.0,0.0,0.0"}
+        assert entangled7 and entangled8 and not entangled7 & entangled8
+
+    def test_violation_names_sample_and_seed(self, capsys, monkeypatch):
+        monkeypatch.setattr(checks, "in_corridor", lambda w, lo, n, c: False)
+        code, _, err = run(capsys, "--command", "scatter", "--samples", "3", "--seed", "5")
+        assert code == 1
+        assert "bound violation at sample 0 of --seed 5" in err
+
     def test_rows_satisfy_bound_chain(self, capsys):
         code, out, _ = run(
             capsys, "--command", "scatter", "--samples", "200", "--seed", "17"
@@ -114,9 +131,9 @@ class TestScatter:
             assert abs(n - c) < 1e-9  # pure states: N = C
 
     def test_near_product_pure_state_inside_corridor(self):
-        # sample 15500 of `--ensemble pure --seed 300000`: w ~ 4e-10 carries
-        # ~1e-15 absolute error, which w**0.25 magnifies beyond a 1e-9 slack
-        rep = witness_report(_sample_state("pure", 300000, 15500))
+        # a near-product pure state: w ~ 4e-10 carries ~1e-15 absolute error,
+        # which w**0.25 magnifies beyond a 1e-9 slack
+        rep = witness_report(random_pure_state(np.random.default_rng(315500)))
         assert rep.concurrence > rep.upper_bound + 1e-9
         assert checks.in_corridor(rep.w, rep.lower_bound, rep.negativity, rep.concurrence)
 
@@ -144,6 +161,14 @@ class TestVerify:
         assert "FAIL" not in out
         assert "count 7" in out
         assert "[1.0, 4.0]" in out and "[0.0, 2.0, 4.0]" in out
+
+    def test_corridor_detail_reads_the_entangled_states(self, capsys):
+        # separable states sit on every edge; the detail must not read 0
+        code, out, _ = run(capsys, "--command", "verify", "--samples", "200", "--seed", "5")
+        assert code == 0
+        line = next(x for x in out.split("\n") if "bound corridor" in x)
+        slack, upper = (float(part.split()[-1]) for part in line.split(":")[1].split(","))
+        assert slack < 0.0 and upper < 0.0
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "--command", "verify", "--samples", "10", "--seed", "4")

@@ -1,16 +1,16 @@
 import dataclasses
 
 import numpy as np
-import pytest
 
 from uwitness.invariants import (
+    PAULI,
+    MakhlinInvariants,
     apply_local_unitary,
     decompose,
     makhlin,
     moments_from_invariants,
     moments_via_invariants,
     reconstruct,
-    strip_raw_invariants,
 )
 from uwitness.states import (
     haar_unitary,
@@ -25,7 +25,7 @@ from uwitness.witness import moments_direct
 
 MAX_MIXED = np.eye(4) / 4
 
-INVARIANT_FIELDS = [f.name for f in dataclasses.fields(makhlin(decompose(MAX_MIXED)))]
+INVARIANT_FIELDS = [f.name for f in dataclasses.fields(MakhlinInvariants)]
 
 
 class TestDecompose:
@@ -54,6 +54,18 @@ class TestDecompose:
         b = decompose(product_state(0.4))
         assert np.allclose(b.beta, np.outer(b.s, b.p), atol=1e-12)
 
+    def test_matches_kron_trace_definition(self):
+        # t_ij = tr[(sigma_i x sigma_j) rho], evaluated one Kronecker product at a time
+        rng = np.random.default_rng(40)
+        for _ in range(20):
+            rho = random_mixed_state(rng)
+            b = decompose(rho)
+            expected = [[np.trace(np.kron(PAULI[i], PAULI[j]) @ rho).real for j in range(4)]
+                        for i in range(4)]
+            assert np.abs(b.t - expected).max() < 1e-14
+            assert np.array_equal(b.s, b.t[1:, 0]) and np.array_equal(b.p, b.t[0, 1:])
+            assert np.array_equal(b.beta, b.t[1:, 1:])
+
     def test_reconstruct_roundtrip(self):
         rng = np.random.default_rng(41)
         for _ in range(50):
@@ -69,37 +81,30 @@ class TestMakhlin:
         assert abs(inv.i3 - 3.0) < 1e-12
         for name in ("i4", "i5", "i7", "i8", "i12", "i14"):
             assert abs(getattr(inv, name)) < 1e-12, name
-        assert abs(inv.x1 - 3.0) < 1e-12
-        assert abs(inv.x2 + 1.0) < 1e-12
-        assert abs(inv.x3 - 6.0) < 1e-12
-        assert abs(inv.x4) < 1e-12
+        assert np.allclose(inv.y, (3.0, 3.0, 0.0, 0.0, -1.0, 0.0), rtol=0, atol=1e-12)
 
     def test_maximally_mixed_values(self):
         inv = makhlin(decompose(MAX_MIXED))
         for name in INVARIANT_FIELDS:
             assert abs(getattr(inv, name)) < 1e-14, name
+        assert max(abs(v) for v in inv.y) < 1e-14
 
     def test_werner_half_values(self):
         inv = makhlin(decompose(werner(0.5)))
         assert abs(inv.i1 + 0.125) < 1e-12
         assert abs(inv.i2 - 0.75) < 1e-12
         assert abs(inv.i3 - 0.1875) < 1e-12
-        assert abs(inv.x3 - 0.375) < 1e-12
+        assert np.allclose(inv.y, (0.75, 0.1875, 0.0, 0.0, -0.125, 0.0), rtol=0, atol=1e-12)
+
+    def test_exactly_the_nine_makhlin_invariants(self):
+        assert INVARIANT_FIELDS == ["i1", "i2", "i3", "i4", "i5", "i7", "i8", "i12", "i14"]
 
     def test_y_combinations_are_consistent(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
             inv = makhlin(decompose(random_mixed_state(rng)))
-            assert abs(inv.y1 - inv.i2) < 1e-14
-            assert abs(inv.y2 - inv.i3) < 1e-14
-            assert abs(inv.y3 - inv.i4) < 1e-14
-            assert abs(inv.y4 - inv.i7) < 1e-14
-            assert abs(inv.y5 - (inv.i1 + inv.i12)) < 1e-14
-            assert abs(inv.y6 - (inv.i5 + inv.i8 + inv.i14)) < 1e-14
-            assert abs(inv.x1 - (inv.i2 + inv.i4 + inv.i7)) < 1e-14
-            assert abs(inv.x2 - (inv.i1 + inv.i12)) < 1e-14
-            assert abs(inv.x3 - (inv.i2**2 - inv.i3)) < 1e-14
-            assert abs(inv.x4 - (inv.i5 + inv.i8 + inv.i14 + inv.i4 * inv.i7)) < 1e-14
+            assert inv.y == (inv.i2, inv.i3, inv.i4, inv.i7, inv.i1 + inv.i12,
+                             inv.i5 + inv.i8 + inv.i14)
 
 
 class TestMomentsFromInvariants:
@@ -112,6 +117,9 @@ class TestMomentsFromInvariants:
             m = moments_via_invariants(rho)
             assert m.source == "invariants"
             assert np.allclose(m.as_tuple(), expected, atol=1e-12)
+        # the six numbers alone fix the moments: singlet y = (3, 3, 0, 0, -1, 0)
+        m = moments_from_invariants((3.0, 3.0, 0.0, 0.0, -1.0, 0.0))
+        assert m.as_tuple() == (1.0, 0.25, 0.25)
 
     def test_matches_direct_on_random_states(self):
         rng = np.random.default_rng(43)
@@ -120,15 +128,6 @@ class TestMomentsFromInvariants:
             md = moments_direct(rho)
             mi = moments_via_invariants(rho)
             assert max(abs(a - b) for a, b in zip(md.as_tuple(), mi.as_tuple())) < 1e-12
-
-    def test_only_the_six_y_values_are_read(self):
-        # zeroing every raw invariant must not change the answer: the moment
-        # map is a function of y1..y6 alone
-        rng = np.random.default_rng(44)
-        for _ in range(20):
-            inv = makhlin(decompose(random_mixed_state(rng)))
-            stripped = strip_raw_invariants(inv)
-            assert moments_from_invariants(inv) == moments_from_invariants(stripped)
 
 
 class TestLocalUnitaryInvariance:

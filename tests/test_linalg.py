@@ -5,7 +5,6 @@ from uwitness.linalg import (
     RegisterLayout,
     hermitian_eig,
     kron,
-    partial_trace,
     partial_transpose,
     swap_qubits,
     tensor_power,
@@ -91,14 +90,6 @@ def test_partial_transpose_rejects_bad_shape():
         partial_transpose(np.eye(3))
 
 
-def test_partial_trace_of_product_state():
-    ra = np.diag([0.7, 0.3]).astype(complex)
-    rb = np.array([[0.5, 0.2], [0.2, 0.5]], dtype=complex)
-    rho = np.kron(ra, rb)
-    assert np.allclose(partial_trace(rho, keep=0), ra, atol=1e-14)
-    assert np.allclose(partial_trace(rho, keep=1), rb, atol=1e-14)
-
-
 def test_register_layout_positions():
     lay = RegisterLayout(3)
     assert lay.n_qubits == 6 and lay.dim == 64
@@ -140,7 +131,7 @@ def test_swap_expectation_equals_purity_of_reduction():
     for _ in range(20):
         rho = random_state(rng)
         lhs = np.trace(s_a @ np.kron(rho, rho)).real
-        ra = partial_trace(rho, keep=0)
+        ra = np.einsum("ikjk->ij", rho.reshape(2, 2, 2, 2))  # tr_b rho
         assert abs(lhs - np.trace(ra @ ra).real) < 1e-12
 
 

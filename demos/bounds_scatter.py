@@ -20,7 +20,7 @@ from uwitness import (
     upper_bound,
     witness_value,
 )
-from uwitness.states import random_mixed_state
+from uwitness.states import StateSampler
 
 HERE = pathlib.Path(__file__).parent
 SAMPLES = 4000
@@ -30,8 +30,9 @@ SEED = 2024
 def main():
     rows = []
     worst_slack = -np.inf
-    for i in range(SAMPLES):
-        rho = random_mixed_state(np.random.default_rng(SEED + i))
+    sampler = StateSampler("hs", SEED)
+    for _ in range(SAMPLES):
+        rho = sampler.sample()
         w = rescaled_witness(witness_value(moments_direct(rho)))
         n, c = negativity(rho), concurrence(rho)
         lo, hi = bounds(w)

@@ -1,9 +1,13 @@
 """Finite-shot simulation of the sequential parity measurements.
 
-Shots are drawn per copy count from the exact four-outcome distribution of
-the two-stage measurement; the witness estimate plugs the three empirical
-moments into the witness polynomial, with a percentile bootstrap for the
-confidence interval.  Everything is deterministic under a fixed seed.
+A record of N shots on n copies is one multinomial draw of N on the exact
+four-outcome distribution of the two-stage measurement: that is the law of
+the four counts of N independent shots, and it costs the same for any N.
+The witness estimate plugs the three empirical moments into the witness
+polynomial.  Its percentile bootstrap redraws each moment as
+(2k - N)/N with k ~ Binomial(N, (c++ + c--)/N): the moment depends on the
+even-parity count c++ + c-- alone, and that count is binomial under the
+multinomial resample.  Everything is deterministic under a fixed seed.
 """
 
 from __future__ import annotations
@@ -16,6 +20,10 @@ from .collective import COPY_COUNTS, outcome_probabilities
 from .witness import witness_polynomial
 
 DEFAULT_RESAMPLES = 1000
+# a table entry below -NEGATIVE_TOLERANCE, or a table sum further than
+# SUM_TOLERANCE from 1, means the input is not a normalised state
+NEGATIVE_TOLERANCE = 1e-12
+SUM_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -63,21 +71,34 @@ class WitnessEstimate:
 
 
 def sample_shots(rho: np.ndarray, n: int, shots: int, seed: int) -> ShotRecord:
-    """Draw ``shots`` outcomes of the n-copy sequential measurement.
+    """Draw the outcome counts of ``shots`` runs of the n-copy sequential
+    measurement.
 
-    Inverse-CDF sampling against the exact outcome probabilities; cells with
-    probability zero can never fire.
+    One multinomial draw of ``shots`` on the exact outcome probabilities:
+    the exact law of the counts of ``shots`` independent outcomes, at a cost
+    that does not grow with ``shots``.  Cells with probability zero can never
+    fire.  Raises ValueError unless ``shots`` is a positive integer and the
+    table is a distribution: no entry below -1e-12, sum within 1e-9 of 1.
     """
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     p = outcome_probabilities(rho, n).as_vector()
+    if p.min() < -NEGATIVE_TOLERANCE:
+        raise ValueError(
+            f"outcome table for n = {n} has an entry {p.min():.3e}, "
+            f"below the tolerance -{NEGATIVE_TOLERANCE:.0e}: not a state"
+        )
+    total = float(p.sum())
+    if abs(total - 1.0) > SUM_TOLERANCE:
+        raise ValueError(
+            f"outcome table for n = {n} sums to {total!r}, {abs(total - 1.0):.3e} from 1, "
+            f"beyond the tolerance {SUM_TOLERANCE:.0e}: not a normalised state"
+        )
     p = np.clip(p, 0.0, None)
-    cdf = np.cumsum(p)
-    cdf[-1] = 1.0
-    u = np.random.default_rng(seed).random(shots)
-    cells = np.searchsorted(cdf, u, side="right")
-    counts = np.bincount(cells, minlength=4)
-    return ShotRecord(n_copies=n, shots=shots, counts=counts, seed=seed)
+    counts = np.random.default_rng(seed).multinomial(shots, p / p.sum())
+    return ShotRecord(n_copies=n, shots=int(shots), counts=counts, seed=seed)
 
 
 def moment_estimate(record: ShotRecord) -> float:
@@ -90,9 +111,11 @@ def estimate(records, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> Witn
     """Plug-in witness estimate with a percentile bootstrap 95% interval.
 
     ``records`` must hold exactly one ShotRecord for each of n = 2, 3, 4.
-    The bootstrap redraws each record's counts from its own empirical
-    distribution ``resamples`` times and takes the 2.5% / 97.5% quantiles of
-    the recomputed witness values.
+    The bootstrap redraws each record's moment ``resamples`` times as
+    (2k - N)/N with k ~ Binomial(N, (c++ + c--)/N), the law of the moment
+    under a multinomial resample of the counts (the moment depends on the
+    even-parity count alone), and takes the 2.5% / 97.5% quantiles of the
+    recomputed witness values.
     """
     by_n = {}
     for r in records:
@@ -115,10 +138,10 @@ def estimate(records, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> Witn
     boot_moments = {}
     for n in COPY_COUNTS:
         r = by_n[n]
-        phat = np.clip(r.counts / r.counts.sum(), 0.0, None)
-        phat = phat / phat.sum()
-        draws = rng.multinomial(int(r.shots), phat, size=resamples)
-        boot_moments[n] = (draws[:, 0] - draws[:, 1] - draws[:, 2] + draws[:, 3]) / r.shots
+        c = r.counts
+        even = np.clip((c[0] + c[3]) / c.sum(), 0.0, 1.0)
+        k = rng.binomial(int(r.shots), even, size=resamples)
+        boot_moments[n] = (2 * k - r.shots) / r.shots
     boot_w = witness_polynomial(boot_moments[2], boot_moments[3], boot_moments[4])
     ci_low, ci_high = np.quantile(boot_w, (0.025, 0.975))
 

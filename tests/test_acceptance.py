@@ -140,24 +140,28 @@ def test_criterion_8_finite_shot_coverage_and_scaling():
     in >= 90% of runs, and the RMS error halves when shots quadruple."""
     rho = werner(0.8)
     truth = witness_value(moments_direct(rho))
+
+    def seeds(arm, s):
+        # three record seeds and one bootstrap seed, one independent stream per (arm, s)
+        return [int(x) for x in np.random.SeedSequence([8, arm, s]).generate_state(4)]
+
     covered = 0
     for s in range(200):
-        base = 50000 + 17 * s
-        recs = [sample_shots(rho, n, 100_000, base + k) for k, n in enumerate(COPY_COUNTS)]
-        est = estimate(recs, resamples=1000, seed=base + 3)
+        *record_seeds, boot_seed = seeds(0, s)
+        recs = [sample_shots(rho, n, 100_000, seed) for n, seed in zip(COPY_COUNTS, record_seeds)]
+        est = estimate(recs, resamples=1000, seed=boot_seed)
         covered += est.ci_low <= truth <= est.ci_high
     coverage = covered / 200.0
 
-    def rms(shots, tag):
+    def rms(shots, arm):
         errs = []
         for s in range(200):
-            base = 90000 + 13 * s + tag
-            recs = [sample_shots(rho, n, shots, base + k) for k, n in enumerate(COPY_COUNTS)]
+            recs = [sample_shots(rho, n, shots, seed) for n, seed in zip(COPY_COUNTS, seeds(arm, s))]
             hats = [moment_estimate(r) for r in recs]
             errs.append(witness_polynomial(*hats) - truth)
         return float(np.sqrt(np.mean(np.square(errs))))
 
-    ratio = rms(25_000, 0) / rms(100_000, 1000)
+    ratio = rms(25_000, 1) / rms(100_000, 2)
     ok = coverage >= 0.90 and 1.6 <= ratio <= 2.6
     announce(
         8,

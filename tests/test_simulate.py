@@ -8,10 +8,12 @@ from uwitness.simulate import (
     moment_estimate,
     sample_shots,
 )
-from uwitness.states import random_mixed_state, singlet, werner
+from uwitness.states import random_mixed_state, random_pure_state, singlet, werner
 from uwitness.witness import moments_direct, witness_value
 
 MAX_MIXED = np.eye(4) / 4
+HS_STATE = random_mixed_state(np.random.default_rng(2))
+PURE_STATE = random_pure_state(np.random.default_rng(3))
 
 
 def draw_records(rho, shots, base_seed):
@@ -49,9 +51,41 @@ class TestSampleShots:
         sigma = np.sqrt(p * (1 - p) / shots)
         assert np.all(np.abs(rec.counts / shots - p) < 5 * sigma)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("rho", [HS_STATE, PURE_STATE], ids=["hs", "pure"])
+    def test_frequencies_converge_to_table_at_more_copies(self, rho, n):
+        shots = 1_000_000
+        p = np.clip(outcome_probabilities(rho, n).as_vector(), 0.0, None)
+        rec = sample_shots(rho, n, shots, seed=99)
+        sigma = np.sqrt(p * (1 - p) / shots)
+        assert np.all(np.abs(rec.counts / shots - p) < 5 * sigma)
+
+    def test_huge_record_is_one_draw(self):
+        # 10^12 outcomes would not fit in memory one by one
+        shots = 10**12
+        rec = sample_shots(werner(0.8), 4, shots, seed=5)
+        assert rec.counts.sum() == shots
+        p = outcome_probabilities(werner(0.8), 4).as_vector()
+        sigma = np.sqrt(p * (1 - p) / shots)
+        assert np.all(np.abs(rec.counts / shots - p) < 6 * sigma)
+
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError):
             sample_shots(MAX_MIXED, 2, 0, seed=0)
+
+    @pytest.mark.parametrize("shots", [1.5, 1000.0, True, "1000"])
+    def test_non_integer_shots_rejected(self, shots):
+        with pytest.raises(ValueError, match="integer"):
+            sample_shots(MAX_MIXED, 2, shots, seed=0)
+
+    def test_non_state_rejected(self):
+        # trace 2: every table sums to 2**n
+        with pytest.raises(ValueError, match=r"3\.000e\+00 from 1"):
+            sample_shots(2 * werner(0.6), 2, 1000, seed=1)
+        # trace 1 but not positive: the n = 2 table has an entry -0.115
+        rho = np.diag([1.2, -0.1, -0.1, 0.0])
+        with pytest.raises(ValueError, match=r"entry -1\.150e-01"):
+            sample_shots(rho, 2, 1000, seed=1)
 
     def test_record_counts_are_frozen(self):
         rec = sample_shots(MAX_MIXED, 2, 10, seed=0)
@@ -104,6 +138,21 @@ class TestEstimate:
         est = estimate(draw_records(rho, 100_000, 50000), resamples=1000, seed=50003)
         assert est.ci_low <= truth <= est.ci_high
         assert est.ci_low < est.witness_hat < est.ci_high
+
+    @pytest.mark.parametrize(
+        "rho", [werner(0.8), werner(0.5), HS_STATE], ids=["werner-0.8", "werner-0.5", "hs"]
+    )
+    def test_interval_width_matches_delta_method(self, rho):
+        shots = 100_000
+        m = moments_direct(rho)
+        pis = np.array(m.as_tuple())
+        grad = np.array([(6 * m.pi2 - 6) / 24, 8 / 24, -6 / 24])  # dw/dpi_n
+        se = np.sqrt(np.sum(grad**2 * (1 - pis**2)) / shots)
+        *record_seeds, boot_seed = np.random.SeedSequence([5, 0]).generate_state(4)
+        recs = [sample_shots(rho, n, shots, int(k)) for n, k in zip((2, 3, 4), record_seeds)]
+        est = estimate(recs, resamples=1000, seed=int(boot_seed))
+        half_width = (est.ci_high - est.ci_low) / 2
+        assert abs(half_width / 1.96 / se - 1) < 0.15
 
     def test_interval_narrows_with_more_shots(self):
         rho = werner(0.8)

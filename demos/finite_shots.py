@@ -20,14 +20,19 @@ from uwitness import (
 from uwitness.states import werner
 
 
-def plugin_witness(rho, shots, seed):
-    hats = {n: moment_estimate(sample_shots(rho, n, shots, seed + n)) for n in (2, 3, 4)}
-    return witness_polynomial(hats[2], hats[3], hats[4])
+def plugin_witness(rho, shots, seeds):
+    hats = [moment_estimate(sample_shots(rho, n, shots, int(s))) for n, s in zip((2, 3, 4), seeds)]
+    return witness_polynomial(*hats)
 
 
 def rms_error(rho, shots, trials, seed):
+    """RMS error over `trials` runs; the three records of trial t draw from
+    SeedSequence([seed, shots, t]), one stream per (budget, trial)."""
     exact = witness_value(moments_direct(rho))
-    errs = np.array([plugin_witness(rho, shots, seed + 17 * t) - exact for t in range(trials)])
+    errs = np.array([
+        plugin_witness(rho, shots, np.random.SeedSequence([seed, shots, t]).generate_state(3)) - exact
+        for t in range(trials)
+    ])
     return float(np.sqrt(np.mean(errs**2)))
 
 

@@ -5,6 +5,10 @@ two-qubit state.  This package evaluates it three independent ways (matrix
 powers, collective swap measurements on 2-4 copies, local-unitary
 invariants), converts it into tight two-sided bounds on negativity and
 concurrence, and simulates finite-shot estimation of the whole scheme.
+
+The numerical layers take rho of shape (..., 4, 4) and broadcast over the
+leading axes: one (4, 4) state gives Python floats and bools, a stack gives
+arrays of its leading shape.
 """
 
 from .linalg import (
@@ -25,7 +29,6 @@ from .states import (
     pure_schmidt,
     random_mixed_state,
     random_pure_state,
-    sample_states,
     save_state,
     singlet,
     state_from_dict,
@@ -98,7 +101,6 @@ __all__ = [
     "random_pure_state",
     "haar_unitary",
     "StateSampler",
-    "sample_states",
     "state_to_dict",
     "state_from_dict",
     "save_state",

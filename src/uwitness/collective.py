@@ -32,7 +32,9 @@ probability of outcome y.  The cycle route is t(L1 L2) and the
 squared-sum route uses (L1 + L2)^2 = 2I + L1 L2 + L2 L1.  Each t(pi) is one
 einsum over n copies of the 2x2x2x2 tensor of rho, whose subscripts pair the
 row label of every qubit with the column label of its image under pi.  No
-4^n-dimensional operator is built at run time.
+4^n-dimensional operator is built at run time.  The runtime routes take rho
+of shape (..., 4, 4) and broadcast over the leading axes (every einsum
+operand carries them as `...`); one state gives Python floats.
 
 The dense operators -- swap_layer, parity_projector (assembled from two-qubit
 swap projectors, composed recursively from n=2 up to n=4), moment_observable
@@ -49,7 +51,7 @@ from string import ascii_letters
 
 import numpy as np
 
-from .linalg import RegisterLayout, swap_qubits, tensor_power, hermitian_eig
+from .linalg import RegisterLayout, _result, hermitian_eig, swap_qubits, tensor_power
 from .witness import MomentSet
 
 COPY_COUNTS = (2, 3, 4)
@@ -101,6 +103,14 @@ def swap_layer(n: int, stage: int) -> np.ndarray:
     for side, i, j in _LAYER_PAIRS[(n, stage)]:
         m = m @ swap_qubits(layout, _qubit_of(layout, side, i), _qubit_of(layout, side, j))
     return _frozen(m)
+
+
+@lru_cache(maxsize=None)
+def layer_permutation(n: int, stage: int) -> np.ndarray:
+    """swap_layer(n, stage) as an index array perm: the layer L is a
+    symmetric permutation matrix, so L @ X = X[perm] and X @ L = X[:, perm]
+    exactly, at the cost of a gather instead of a 4^n-dimensional product."""
+    return _frozen(swap_layer(n, stage).argmax(axis=1))
 
 
 def _pair_projector(layout: RegisterLayout, side: str, i: int, j: int, sign: int) -> np.ndarray:
@@ -175,11 +185,11 @@ def projection_count() -> int:
 
 
 def _copy_tensor(rho: np.ndarray) -> np.ndarray:
-    """One copy of rho as the tensor r[a_row, b_row, a_col, b_col]."""
+    """One copy of rho as the tensor r[..., a_row, b_row, a_col, b_col]."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 two-qubit matrix, got shape {rho.shape}")
-    return rho.reshape(2, 2, 2, 2)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a (..., 4, 4) two-qubit matrix, got shape {rho.shape}")
+    return rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
 
 
 @lru_cache(maxsize=None)
@@ -202,14 +212,14 @@ def _trace_subscripts(n: int, stages: tuple) -> str:
         source = [swap[q] for q in source]
     copies = [(layout.a(k), layout.b(k)) for k in range(1, n + 1)]
     return ",".join(
-        ascii_letters[a] + ascii_letters[b] + ascii_letters[source[a]] + ascii_letters[source[b]]
+        "..." + ascii_letters[a] + ascii_letters[b] + ascii_letters[source[a]] + ascii_letters[source[b]]
         for a, b in copies
-    ) + "->"
+    ) + "->..."
 
 
-def _permutation_trace(r: np.ndarray, n: int, stages: tuple) -> float:
+def _permutation_trace(r: np.ndarray, n: int, stages: tuple):
     """Re t(pi) = Re tr[pi rho^(x)n] for the layer product named by `stages`."""
-    return float(np.einsum(_trace_subscripts(n, stages), *([r] * n)).real)
+    return _result(np.einsum(_trace_subscripts(n, stages), *([r] * n)).real)
 
 
 def moment_cycle(rho: np.ndarray, n: int) -> float:
@@ -237,9 +247,10 @@ def moment_via_observable(rho: np.ndarray, n: int) -> float:
 class OutcomeTable:
     """Probabilities of the sequential two-stage parity measurement.
 
-    probabilities[x, y] is the chance of stage-2 outcome x after stage-1
-    outcome y, indexed 0 <-> +1 and 1 <-> -1.  The signed sum
-    p(+,+) - p(+,-) - p(-,+) + p(-,-) recovers the moment.
+    probabilities[..., x, y] is the chance of stage-2 outcome x after
+    stage-1 outcome y, indexed 0 <-> +1 and 1 <-> -1, with the leading axes
+    of the states.  The signed sum p(+,+) - p(+,-) - p(-,+) + p(-,-)
+    recovers the moment.
     """
 
     n_copies: int
@@ -247,19 +258,20 @@ class OutcomeTable:
 
     def __post_init__(self):
         p = np.array(self.probabilities, dtype=float)
-        if p.shape != (2, 2):
-            raise ValueError(f"probabilities must be a 2x2 table, got shape {p.shape}")
+        if p.shape[-2:] != (2, 2):
+            raise ValueError(f"probabilities must be (..., 2, 2) tables, got shape {p.shape}")
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
 
     @property
-    def moment(self) -> float:
+    def moment(self):
         p = self.probabilities
-        return float(p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1])
+        return _result(p[..., 0, 0]) - _result(p[..., 0, 1]) - _result(p[..., 1, 0]) + _result(p[..., 1, 1])
 
     def as_vector(self) -> np.ndarray:
-        """Flat order (+,+), (+,-), (-,+), (-,-)."""
-        return self.probabilities.reshape(4)
+        """Flat order (+,+), (+,-), (-,+), (-,-) along the last axis."""
+        p = self.probabilities
+        return p.reshape(*p.shape[:-2], 4)
 
 
 def outcome_probabilities(rho: np.ndarray, n: int) -> OutcomeTable:
@@ -274,13 +286,13 @@ def outcome_probabilities(rho: np.ndarray, n: int) -> OutcomeTable:
     t_id, t1, t2, t12, t21, t121 = (
         _permutation_trace(r, n, stages) for stages in ((), (1,), (2,), (1, 2), (2, 1), (1, 2, 1))
     )
-    probs = np.empty((2, 2))
+    probs = np.empty(r.shape[:-4] + (2, 2))
     for yi, y in enumerate(OUTCOME_SIGNS):
         # grouped so that outcomes the state forbids (e.g. the singlet's) come out exactly 0
         stage1 = t_id + y * t1
         stage2 = (t2 + t121) + y * (t12 + t21)
         for xi, x in enumerate(OUTCOME_SIGNS):
-            probs[xi, yi] = (2.0 * stage1 + x * stage2) / 8.0
+            probs[..., xi, yi] = (2.0 * stage1 + x * stage2) / 8.0
     return OutcomeTable(n_copies=n, probabilities=probs)
 
 
@@ -293,8 +305,8 @@ def symmetrized_copies(rho: np.ndarray, n: int) -> np.ndarray:
     """
     _check_n(n)
     rn = tensor_power(np.asarray(rho, dtype=complex), n)
-    layer = swap_layer(n, 1)
-    return 0.5 * (rn + layer @ rn @ layer)
+    perm = layer_permutation(n, 1)
+    return 0.5 * (rn + rn[perm][:, perm])
 
 
 def moments_collective(rho: np.ndarray) -> MomentSet:

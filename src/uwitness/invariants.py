@@ -10,6 +10,10 @@ determine the state up to local unitaries; six combinations of them, `y`,
 already fix the moments of the partially transposed state, hence the witness:
 
     moments_from_invariants(makhlin(decompose(rho)).y)
+
+Every function takes rho of shape (..., 4, 4) and broadcasts over the
+leading axes: t is then (..., 4, 4), s and p are (..., 3), and each
+invariant is an array of the leading shape (a Python float for one state).
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _dagger, _result, _trace
 from .witness import MomentSet
 
 # sigma_0 = I, sigma_x, sigma_y, sigma_z as one (4, 2, 2) stack
@@ -25,8 +30,11 @@ PAULI = np.array(
     [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
     dtype=complex,
 )
-# i+1 and i+2 (mod 3), the rows and columns that make up cofactor i of a 3x3 matrix
-_J, _K = np.array([1, 2, 0]), np.array([2, 0, 1])
+# cofactor (i, l) of a 3x3 matrix m is m[i+1, l+1] m[i+2, l+2] - m[i+1, l+2] m[i+2, l+1]
+# (indices mod 3); m[..., _COF_ROWS, _COF_COLS] gathers the four factors on a last axis
+_NEXT, _NEXT2 = np.array([1, 2, 0]), np.array([2, 0, 1])
+_COF_ROWS = np.stack([_NEXT, _NEXT2, _NEXT, _NEXT2], axis=-1)[:, None, :]
+_COF_COLS = np.stack([_NEXT, _NEXT2, _NEXT2, _NEXT], axis=-1)[None, :, :]
 
 
 @dataclass(frozen=True)
@@ -38,26 +46,30 @@ class BlochDecomposition:
 
     @property
     def s(self) -> np.ndarray:
-        return self.t[1:, 0]
+        return self.t[..., 1:, 0]
 
     @property
     def p(self) -> np.ndarray:
-        return self.t[0, 1:]
+        return self.t[..., 0, 1:]
 
     @property
     def beta(self) -> np.ndarray:
-        return self.t[1:, 1:]
+        return self.t[..., 1:, 1:]
 
 
 def decompose(rho: np.ndarray) -> BlochDecomposition:
     """Pauli coefficients of a two-qubit state, real for a Hermitian rho."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    return BlochDecomposition(np.einsum("iac,jbd,cdab->ij", PAULI, PAULI, r).real)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected shape (..., 4, 4), got {rho.shape}")
+    r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
+    return BlochDecomposition(np.einsum("iac,jbd,...cdab->...ij", PAULI, PAULI, r).real)
 
 
 def reconstruct(bloch: BlochDecomposition) -> np.ndarray:
     """Rebuild the density matrix, (1/4) sum_ij t_ij sigma_i x sigma_j."""
-    return np.einsum("ij,iac,jbd->abcd", bloch.t, PAULI, PAULI).reshape(4, 4) / 4.0
+    t = bloch.t
+    return np.einsum("...ij,iac,jbd->...abcd", t, PAULI, PAULI).reshape(*t.shape[:-2], 4, 4) / 4.0
 
 
 @dataclass(frozen=True)
@@ -83,23 +95,34 @@ class MakhlinInvariants:
 
 
 def makhlin(bloch: BlochDecomposition) -> MakhlinInvariants:
-    """Evaluate the invariants from Bloch data."""
-    s, p, beta = bloch.s, bloch.p, bloch.beta
-    btb = beta.T @ beta
-    # cofactor matrix, cof_il = beta_{i+1,l+1} beta_{i+2,l+2} - beta_{i+1,l+2} beta_{i+2,l+1}
-    j, k = _J[:, None], _K[:, None]
-    cof = beta[j, _J] * beta[k, _K] - beta[j, _K] * beta[k, _J]
+    """Evaluate the invariants from Bloch data.
+
+    s is taken as a row and p as a column, so every contraction is a matmul
+    over the leading axes, the same BLAS call as for one state's vectors.
+    """
+    t = bloch.t
+    beta = t[..., 1:, 1:]
+    s, p = t[..., None, 1:, 0], t[..., 0, 1:, None]
+    f = beta[..., _COF_ROWS, _COF_COLS]
+    cof = f[..., 0] * f[..., 1] - f[..., 2] * f[..., 3]
+    btb = beta.swapaxes(-1, -2) @ beta
+    sb, bp = s @ beta, beta @ p
     return MakhlinInvariants(
-        i1=float(beta[0] @ cof[0]),
-        i2=float(np.trace(btb)),
-        i3=float(np.trace(btb @ btb)),
-        i4=float(s @ s),
-        i5=float((s @ beta) @ (s @ beta)),
-        i7=float(p @ p),
-        i8=float((beta @ p) @ (beta @ p)),
-        i12=float(s @ beta @ p),
-        i14=float(2.0 * s @ cof @ p),
+        i1=_scalar(beta[..., :1, :] @ cof[..., :1, :].swapaxes(-1, -2)),
+        i2=_result(_trace(btb)),
+        i3=_result(_trace(btb @ btb)),
+        i4=_scalar(s @ s.swapaxes(-1, -2)),
+        i5=_scalar(sb @ sb.swapaxes(-1, -2)),
+        i7=_scalar(p.swapaxes(-1, -2) @ p),
+        i8=_scalar(bp.swapaxes(-1, -2) @ bp),
+        i12=_scalar(sb @ p),
+        i14=_scalar(2.0 * s @ cof @ p),
     )
+
+
+def _scalar(m: np.ndarray):
+    """The entry of each 1x1 matrix of a (..., 1, 1) stack."""
+    return _result(m[..., 0, 0])
 
 
 def moments_from_invariants(y) -> MomentSet:
@@ -129,6 +152,9 @@ def moments_via_invariants(rho: np.ndarray) -> MomentSet:
 
 
 def apply_local_unitary(rho: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
-    """(u_a x u_b) rho (u_a x u_b)^dag."""
-    u = np.kron(np.asarray(u_a, dtype=complex), np.asarray(u_b, dtype=complex))
-    return u @ np.asarray(rho, dtype=complex) @ u.conj().T
+    """(u_a x u_b) rho (u_a x u_b)^dag; the (..., 2, 2) factors broadcast
+    against the (..., 4, 4) states."""
+    u_a, u_b = np.asarray(u_a, dtype=complex), np.asarray(u_b, dtype=complex)
+    u = u_a[..., :, None, :, None] * u_b[..., None, :, None, :]
+    u = u.reshape(*u.shape[:-4], 4, 4)
+    return u @ np.asarray(rho, dtype=complex) @ _dagger(u)

@@ -2,7 +2,9 @@
 
 Everything here works on plain complex ndarrays.  Qubits are indexed
 left-to-right in the tensor product (qubit 0 is the most significant bit
-of the computational-basis index).
+of the computational-basis index).  partial_transpose and hermitian_eig take
+a matrix of shape (..., d, d) and broadcast over the leading axes: a single
+matrix is the case with no leading axes.
 """
 
 from __future__ import annotations
@@ -68,20 +70,17 @@ def tensor_power(m: np.ndarray, n: int) -> np.ndarray:
 
 
 def partial_transpose(rho: np.ndarray, d_a: int = 2, d_b: int = 2) -> np.ndarray:
-    """Transpose the first tensor factor of a bipartite matrix.
+    """Transpose the first tensor factor of a bipartite matrix, or of each
+    matrix in a (..., d, d) stack.
 
     For a two-qubit density matrix this is the partial transpose whose
     spectrum decides the PPT separability test.
     """
     rho = np.asarray(rho)
     d = d_a * d_b
-    if rho.shape != (d, d):
-        raise ValueError(f"expected shape ({d}, {d}), got {rho.shape}")
-    return (
-        rho.reshape(d_a, d_b, d_a, d_b)
-        .transpose(2, 1, 0, 3)
-        .reshape(d, d)
-    )
+    if rho.shape[-2:] != (d, d):
+        raise ValueError(f"expected shape (..., {d}, {d}), got {rho.shape}")
+    return rho.reshape(rho.shape[:-2] + (d_a, d_b, d_a, d_b)).swapaxes(-4, -2).reshape(rho.shape)
 
 
 def swap_qubits(layout: RegisterLayout, i: int, j: int) -> np.ndarray:
@@ -111,16 +110,56 @@ def swap_qubits(layout: RegisterLayout, i: int, j: int) -> np.ndarray:
 
 
 def hermitian_eig(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending.
+    """Real eigenvalues of a Hermitian matrix, or of each matrix in a
+    (..., d, d) stack, ascending along the last axis.
 
-    Raises ValueError if the matrix deviates from Hermiticity by more than
-    ``atol`` in any entry; silent symmetrization hides real bugs.
+    Raises ValueError if a matrix deviates from Hermiticity by more than
+    ``atol`` in any entry; silent symmetrization hides real bugs.  A NaN or
+    infinite entry fails the same comparison and is named as such.
     """
     m = np.asarray(m)
-    dev = np.abs(m - m.conj().T).max()
-    if dev > atol:
+    dev = np.abs(m - _dagger(m)).max(initial=0.0)
+    if not dev <= atol:
+        _require_finite(m)
         raise ValueError(
             f"matrix is not Hermitian: max |M - M^dag| entry is {dev:.3e} (atol {atol:.1e})"
         )
     return np.linalg.eigvalsh(m)
 
+
+def _require_finite(rho) -> np.ndarray:
+    """rho as a complex array; ValueError naming the first matrix of the
+    (..., d, d) stack that holds a NaN or an infinity."""
+    rho = np.asarray(rho, dtype=complex)
+    if np.count_nonzero(np.isfinite(rho)) != rho.size:
+        index = np.argwhere(~np.isfinite(rho).all(axis=(-2, -1)))[0].tolist()
+        where = f"state {', '.join(map(str, index))} of the stack" if index else "the matrix"
+        raise ValueError(f"non-finite entry in {where}")
+    return rho
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a (..., d, d) stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _trace(m: np.ndarray) -> np.ndarray:
+    """Trace of each matrix of a (..., d, d) stack: the sum np.trace takes,
+    a little cheaper on one matrix."""
+    return m.diagonal(0, -2, -1).sum(-1)
+
+
+def _result(x):
+    """One state's real result (a numpy scalar or 0-d array) as a Python
+    float, a stack's as its array; a Python number passes through.
+    Arithmetic on a Python float is an order of magnitude cheaper than on a
+    numpy scalar, and float() than .item()."""
+    return float(x) if getattr(x, "ndim", None) == 0 else x
+
+
+def _positive_part(x):
+    """max(x, 0) with +0.0 for x <= 0, on a scalar (returned as a Python
+    float) or elementwise on an array; operators instead of np.maximum,
+    whose call costs more than the arithmetic on a scalar.  x is finite."""
+    x = _result(x)
+    return x * (x > 0.0) + 0.0

@@ -1,4 +1,9 @@
-"""Two-qubit density matrices: named states, validation, random ensembles, file I/O."""
+"""Two-qubit density matrices: named states, validation, random ensembles, file I/O.
+
+validate and the random samplers work on stacks of shape (..., 4, 4): a
+single state is the stack with no leading axes, and StateSampler.sample(k)
+draws k states as one (k, 4, 4) block.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ import json
 
 import numpy as np
 
-from .linalg import HERMITICITY_ATOL
+from .linalg import HERMITICITY_ATOL, _dagger, _require_finite, _trace
 
 TRACE_ATOL = 1e-10
 POSITIVITY_ATOL = 1e-9
@@ -15,29 +20,37 @@ ENSEMBLE_KINDS = ("hs", "pure")
 
 
 def validate(rho) -> np.ndarray:
-    """Check that ``rho`` is a physical two-qubit density matrix.
+    """Check that ``rho`` is a physical two-qubit density matrix, or that
+    every matrix of a (..., 4, 4) stack is.
 
-    Returns the state as a complex ndarray.  Raises ValueError naming every
-    violated property (shape, Hermiticity, unit trace, positivity) together
-    with the magnitude of the violation.
+    Returns the state(s) as a complex ndarray.  Raises ValueError naming
+    every violated property (shape, finiteness, Hermiticity, unit trace,
+    positivity) together with the magnitude of the violation; for a stack,
+    of the first invalid state, whose index it names.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix or a (..., 4, 4) stack, got shape {rho.shape}")
+    _require_finite(rho)
+    herm_dev = np.abs(rho - _dagger(rho)).max(axis=(-2, -1))
+    trace_dev = np.abs(_trace(rho) - 1.0)
+    min_eig = np.linalg.eigvalsh(rho)[..., 0]
+    # the spectrum is judged only where the matrix is Hermitian
+    hermitian = herm_dev <= HERMITICITY_ATOL
+    not_psd = hermitian & (min_eig < -POSITIVITY_ATOL)
+    invalid = ~hermitian | (trace_dev > TRACE_ATOL) | not_psd
+    if not np.count_nonzero(invalid):
+        return rho
+    index = tuple(np.argwhere(invalid)[0])
     problems = []
-    herm_dev = np.abs(rho - rho.conj().T).max()
-    if herm_dev > HERMITICITY_ATOL:
-        problems.append(f"not Hermitian (max |rho - rho^dag| = {herm_dev:.3e})")
-    trace_dev = abs(np.trace(rho) - 1.0)
-    if trace_dev > TRACE_ATOL:
-        problems.append(f"trace differs from 1 by {trace_dev:.3e}")
-    if herm_dev <= HERMITICITY_ATOL:
-        min_eig = np.linalg.eigvalsh(rho)[0]
-        if min_eig < -POSITIVITY_ATOL:
-            problems.append(f"not positive semidefinite (min eigenvalue = {min_eig:.3e})")
-    if problems:
-        raise ValueError("invalid density matrix: " + "; ".join(problems))
-    return rho
+    if not hermitian[index]:
+        problems.append(f"not Hermitian (max |rho - rho^dag| = {herm_dev[index]:.3e})")
+    if trace_dev[index] > TRACE_ATOL:
+        problems.append(f"trace differs from 1 by {trace_dev[index]:.3e}")
+    if not_psd[index]:
+        problems.append(f"not positive semidefinite (min eigenvalue = {min_eig[index]:.3e})")
+    where = f"state {', '.join(map(str, index))} of the stack: " if index else ""
+    raise ValueError("invalid density matrix: " + where + "; ".join(problems))
 
 
 def _pure(vec) -> np.ndarray:
@@ -116,32 +129,58 @@ def named_state(spec: str) -> np.ndarray:
     return ctor()
 
 
-def random_mixed_state(rng: np.random.Generator) -> np.ndarray:
-    """Hilbert-Schmidt random mixed state G G^dag / tr(G G^dag), G Ginibre."""
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+def random_mixed_state(rng: np.random.Generator, k=None) -> np.ndarray:
+    """Hilbert-Schmidt random mixed state G G^dag / tr(G G^dag), G Ginibre;
+    k states as a (k, 4, 4) stack.
+
+    The block is one (k, 2, 4, 4) draw, real parts from [:, 0] and imaginary
+    parts from [:, 1], so it is the stream of k single draws bit for bit.
+    """
+    g = rng.standard_normal((*_block(k), 2, 4, 4))
+    g = g[..., 0, :, :] + 1j * g[..., 1, :, :]
+    rho = g @ _dagger(g)
+    return rho / _trace(rho).real[..., None, None]
 
 
-def random_pure_state(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random pure state from a normalized complex Gaussian 4-vector."""
-    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return _pure(v)
+def random_pure_state(rng: np.random.Generator, k=None) -> np.ndarray:
+    """Haar-random pure state from a normalized complex Gaussian 4-vector;
+    k states as a (k, 4, 4) stack from one (k, 2, 4) draw, the stream of k
+    single draws bit for bit."""
+    g = rng.standard_normal((*_block(k), 2, 4))
+    v = g[..., 0, :] + 1j * g[..., 1, :]
+    norm = np.sqrt(_dot(v.real, v.real) + _dot(v.imag, v.imag))
+    v = v / norm[..., None]
+    return v[..., :, None] * v.conj()[..., None, :]
 
 
-def haar_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    """Haar-random unitary via QR of a Ginibre matrix with phase fixing."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+def _block(k) -> tuple:
+    return () if k is None else (k,)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a[..., i] b[..., i], each through the BLAS dot that np.linalg.norm
+    uses for one vector (an einsum sums in another order)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def haar_unitary(rng: np.random.Generator, dim: int = 2, shape: tuple = ()) -> np.ndarray:
+    """Haar-random unitary via QR of a Ginibre matrix with phase fixing; a
+    (*shape, dim, dim) stack from one draw, the stream of the single draws
+    in row-major order."""
+    g = rng.standard_normal((*shape, 2, dim, dim))
+    z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 class StateSampler:
     """Seeded stream of random two-qubit density matrices.
 
     kind is "hs" (Hilbert-Schmidt mixed, the default) or "pure" (Haar pure);
-    equal seeds reproduce the sequence bit for bit.
+    equal seeds reproduce the sequence bit for bit.  sample() draws one
+    (4, 4) state and sample(k) a (k, 4, 4) block; the stream does not depend
+    on how it is split into blocks, bit for bit.
     """
 
     def __init__(self, kind: str = "hs", seed=None):
@@ -150,16 +189,9 @@ class StateSampler:
         self.kind = kind
         self._rng = np.random.default_rng(seed)
 
-    def sample(self) -> np.ndarray:
-        if self.kind == "pure":
-            return random_pure_state(self._rng)
-        return random_mixed_state(self._rng)
-
-
-def sample_states(kind: str, n: int, seed=None) -> np.ndarray:
-    """Stack of n random states, shape (n, 4, 4)."""
-    sampler = StateSampler(kind, seed)
-    return np.stack([sampler.sample() for _ in range(n)])
+    def sample(self, k=None) -> np.ndarray:
+        draw = random_pure_state if self.kind == "pure" else random_mixed_state
+        return draw(self._rng, k)
 
 
 def state_to_dict(rho) -> dict:

@@ -9,6 +9,13 @@ A two-qubit state is entangled exactly when this is negative.  The rescaled
 value w = max(0, -16 * witness) pins the negativity N and concurrence C into
 the tight corridor  f(w) <= N <= C <= w**(1/4), where f inverts the Werner
 line w = C (C + 2)^3 / 27.
+
+Every function takes rho of shape (..., 4, 4), or w of any shape, and
+broadcasts over the leading axes; a single state gives Python floats and
+bools, a stack gives arrays of its leading shape.  negativity, concurrence
+and witness_report mean something only for a state, and raise ValueError
+naming the first state of the stack with a non-finite entry; the moments
+are polynomials and pass a NaN through.
 """
 
 from __future__ import annotations
@@ -17,7 +24,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .linalg import partial_transpose, hermitian_eig
+from .linalg import (_dagger, _positive_part, _require_finite, _result, _trace, hermitian_eig,
+                     partial_transpose)
 
 # witness values within this band of zero are treated as "not detected"
 ENTANGLEMENT_ATOL = 1e-12
@@ -33,7 +41,8 @@ _SPIN_FLIP = np.kron(_SIGMA2, _SIGMA2)
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Moments tr[(rho^PT)^n] for n = 2, 3, 4, tagged with how they were obtained."""
+    """Moments tr[(rho^PT)^n] for n = 2, 3, 4, tagged with how they were
+    obtained; floats for one state, arrays of the leading shape for a stack."""
 
     pi2: float
     pi3: float
@@ -46,6 +55,8 @@ class MomentSet:
 
 @dataclass(frozen=True)
 class WitnessReport:
+    """One state's report (floats and a bool), or a stack's (arrays)."""
+
     witness: float
     w: float
     negativity: float
@@ -63,9 +74,9 @@ def moments_direct(rho: np.ndarray) -> MomentSet:
     g = partial_transpose(np.asarray(rho, dtype=complex))
     g2 = g @ g
     return MomentSet(
-        pi2=float(np.trace(g2).real),
-        pi3=float(np.trace(g2 @ g).real),
-        pi4=float(np.trace(g2 @ g2).real),
+        pi2=_result(_trace(g2).real),
+        pi3=_result(_trace(g2 @ g).real),
+        pi4=_result(_trace(g2 @ g2).real),
         source="direct",
     )
 
@@ -75,23 +86,24 @@ def witness_polynomial(pi2, pi3, pi4):
     return (1.0 - 6.0 * pi4 + 8.0 * pi3 + 3.0 * pi2 ** 2 - 6.0 * pi2) / 24.0
 
 
-def witness_value(moments: MomentSet) -> float:
-    return float(witness_polynomial(moments.pi2, moments.pi3, moments.pi4))
+def witness_value(moments: MomentSet):
+    return _result(witness_polynomial(moments.pi2, moments.pi3, moments.pi4))
 
 
-def rescaled_witness(value: float) -> float:
+def rescaled_witness(value):
     """w = -16 * witness clamped to [0, 1]; 0 for any PPT (undetected) state,
     and eps overshoot past 1 for maximally entangled states is cut back."""
-    return min(1.0, max(0.0, -16.0 * value))
+    return _result(np.minimum(np.maximum(-16.0 * value, 0.0), 1.0))
 
 
-def negativity(rho: np.ndarray) -> float:
+def negativity(rho: np.ndarray):
     """N = 2 * max(0, -min eigenvalue of rho^PT); equals |sum of negative eigenvalues| * 2."""
-    eigs = hermitian_eig(partial_transpose(np.asarray(rho, dtype=complex)))
-    return 2.0 * max(0.0, -float(eigs[0]))
+    # hermitian_eig rejects a non-finite entry as part of its Hermiticity check
+    lowest = _result(hermitian_eig(partial_transpose(np.asarray(rho, dtype=complex)))[..., 0])
+    return 2.0 * _positive_part(-lowest)
 
 
-def concurrence(rho: np.ndarray) -> float:
+def concurrence(rho: np.ndarray):
     """Wootters concurrence C = max(0, 2 max_j lam_j - sum_j lam_j).
 
     The lam_j are the square roots of the eigenvalues of the spin-flipped
@@ -102,19 +114,19 @@ def concurrence(rho: np.ndarray) -> float:
     degenerate zeros.  concurrence_spinflip_eigs is the brute-force route
     and the tests keep the two in agreement.
     """
-    lam = _wootters_lambdas(rho)
-    return max(0.0, float(2.0 * lam.max() - lam.sum()))
+    lam = _wootters_lambdas(_require_finite(rho))
+    return _positive_part(2.0 * lam.max(axis=-1) - lam.sum(axis=-1))
 
 
 def _wootters_lambdas(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
     d, v = np.linalg.eigh(rho)
-    root = (v * np.sqrt(np.clip(d, 0.0, None))) @ v.conj().T
+    root = (v * np.sqrt(np.maximum(d, 0.0))[..., None, :]) @ _dagger(v)
     return np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
 
 
 def concurrence_spinflip_eigs(rho: np.ndarray) -> np.ndarray:
-    """lam_j by direct (non-Hermitian) diagonalization of rho S rho* S.
+    """lam_j by direct (non-Hermitian) diagonalization of rho S rho* S,
+    descending along the last axis.
 
     Cross-check for concurrence; carries sqrt(eps)-level noise on degenerate
     zero eigenvalues, so comparisons should allow ~1e-7.
@@ -122,60 +134,70 @@ def concurrence_spinflip_eigs(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     m = rho @ _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
     lam = np.sqrt(np.clip(np.linalg.eigvals(m).real, 0.0, None))
-    return np.sort(lam)[::-1]
+    return np.sort(lam, axis=-1)[..., ::-1]
 
 
-def _check_w(w: float) -> float:
-    if not -1e-9 <= w <= 1.0 + 1e-9:
-        raise ValueError(f"rescaled witness must be in [0, 1], got {w}")
-    return min(max(w, 0.0), 1.0)
+def _check_w(w):
+    """w as Python floats or an array, clamped to [0, 1] after checking that
+    it lies within 1e-9 of that interval (a NaN fails the check)."""
+    w = _result(w)
+    outside = (w < -1e-9) | (w > 1.0 + 1e-9) | (w != w)
+    if np.count_nonzero(outside):
+        raise ValueError(f"rescaled witness must be in [0, 1], got {np.ravel(w)[np.ravel(outside)][0]}")
+    w = _positive_part(w)
+    return w - (w - 1.0) * (w > 1.0)
 
 
-def lower_bound(w: float) -> float:
+def lower_bound(w):
     """Tight lower bound on the negativity given w = max(0, -16 * witness).
 
     Inverse of the Werner line w(C) = C (C + 2)^3 / 27, continuous at w = 0:
     the closed-form root, polished by Newton steps on w(C) = w to full
     relative accuracy.  Below _SERIES_BELOW the closed form cancels two O(1)
     terms (and returns nan once w**2 underflows against w), so the start
-    there is the first-order series C = 27 w / 8 instead.
+    there is the first-order series C = 27 w / 8 instead.  A scalar and an
+    array take the same path: the closed form is evaluated everywhere, at w
+    raised by _SERIES_BELOW where the series applies (so it stays finite),
+    and the flag w < _SERIES_BELOW picks a start by multiplying with 1 or 0,
+    which also gives exactly 0 at w = 0.
     """
     w = _check_w(w)
-    if w == 0.0:
-        return 0.0
-    if w < _SERIES_BELOW:
-        c = 27.0 * w / 8.0
-    else:
-        x = 3.0 * np.cbrt(2.0 * np.sqrt(w * w * (16.0 * w + 1.0)) - 2.0 * w)
-        z = 1.0 + x - 36.0 * w / x
-        sz = np.sqrt(z)
-        c = float(0.5 * (-3.0 + sz + np.sqrt(3.0 - z + 2.0 / sz)))
+    series = w < _SERIES_BELOW
+    v = w + _SERIES_BELOW * series
+    x = 3.0 * np.cbrt(2.0 * np.sqrt(v * v * (16.0 * v + 1.0)) - 2.0 * v)
+    z = 1.0 + x - 36.0 * v / x
+    sz = np.sqrt(z)
+    closed = _result(0.5 * (-3.0 + sz + np.sqrt(3.0 - z + 2.0 / sz)))
+    c = 27.0 * w / 8.0 * series + closed * (w >= _SERIES_BELOW)
     for _ in range(_NEWTON_STEPS):
-        c -= (c * (c + 2.0) ** 3 / 27.0 - w) / ((c + 2.0) ** 2 * (4.0 * c + 2.0) / 27.0)
-    return float(c)
+        c = c - (c * (c + 2.0) ** 3 / 27.0 - w) / ((c + 2.0) ** 2 * (4.0 * c + 2.0) / 27.0)
+    return c
 
 
-def upper_bound(w: float) -> float:
+def upper_bound(w):
     """Tight upper bound on the concurrence: w**(1/4), saturated by pure states."""
-    return float(_check_w(w) ** 0.25)
+    return _check_w(w) ** 0.25
 
 
-def bounds(w: float) -> tuple:
+def bounds(w) -> tuple:
     """(lower bound on N, upper bound on C) for a given rescaled witness value."""
     return lower_bound(w), upper_bound(w)
 
 
 def witness_report(rho: np.ndarray) -> WitnessReport:
-    """Witness, rescaled value, exact measures, and the bound corridor for one state."""
+    """Witness, rescaled value, exact measures, and the bound corridor for a
+    state, or for each state of a (..., 4, 4) stack (every field an array)."""
+    # the measures first: they reject non-finite input, which the moments pass
+    c, n = concurrence(rho), negativity(rho)
     value = witness_value(moments_direct(rho))
     w = rescaled_witness(value)
     lo, hi = bounds(w)
     return WitnessReport(
-        witness=float(value),
-        w=float(w),
-        negativity=negativity(rho),
-        concurrence=concurrence(rho),
+        witness=value,
+        w=w,
+        negativity=n,
+        concurrence=c,
         lower_bound=lo,
         upper_bound=hi,
-        entangled=bool(value < -ENTANGLEMENT_ATOL),
+        entangled=value < -ENTANGLEMENT_ATOL,
     )

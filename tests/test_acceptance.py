@@ -9,7 +9,7 @@ from uwitness import checks
 from uwitness.cli import main
 from uwitness.collective import COPY_COUNTS
 from uwitness.simulate import estimate, moment_estimate, sample_shots
-from uwitness.states import pure_schmidt, random_mixed_state, random_pure_state, singlet, werner
+from uwitness.states import StateSampler, pure_schmidt, singlet, werner
 from uwitness.witness import (
     concurrence,
     lower_bound,
@@ -26,12 +26,9 @@ def announce(k, name, ok):
     assert ok, f"criterion {k} failed: {name}"
 
 
-def hs_state(seed):
-    return random_mixed_state(np.random.default_rng(seed))
-
-
-def hs_states(first_seed, count):
-    return [hs_state(first_seed + i) for i in range(count)]
+def hs_states(seed, count):
+    """One (count, 4, 4) block from the Hilbert-Schmidt stream of `seed`."""
+    return StateSampler("hs", seed).sample(count)
 
 
 def test_criterion_1_bound_corridor_on_10000_states(tmp_path):
@@ -117,14 +114,12 @@ def test_criterion_7_reference_states():
     # pure states saturate C = w^(1/4), checked in the forward form C^4 = w:
     # near w = 0 the fourth root magnifies w's rounding error past any fixed
     # tolerance on C
-    worst_pure = 0.0
-    pure = [pure_schmidt(lam1) for lam1 in np.linspace(0.05, 0.95, 19)]
-    pure += [random_pure_state(np.random.default_rng(15001 + i)) for i in range(50)]
-    for rho in pure:
-        w = rescaled_witness(witness_value(moments_direct(rho)))
-        dev = abs(concurrence(rho) ** 4 - w)
-        worst_pure = max(worst_pure, dev)
-        ok = ok and dev <= 1e-9 * w + 1e-14
+    schmidt = np.stack([pure_schmidt(lam1) for lam1 in np.linspace(0.05, 0.95, 19)])
+    pure = np.concatenate([schmidt, StateSampler("pure", 15001).sample(50)])
+    w = rescaled_witness(witness_value(moments_direct(pure)))
+    dev = np.abs(concurrence(pure) ** 4 - w)
+    worst_pure = dev.max()
+    ok = ok and bool(np.all(dev <= 1e-9 * w + 1e-14))
 
     boundary = witness_value(moments_direct(werner(1.0 / 3.0)))
     ok = ok and abs(boundary) < 1e-12

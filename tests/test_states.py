@@ -13,7 +13,6 @@ from uwitness.states import (
     pure_schmidt,
     random_mixed_state,
     random_pure_state,
-    sample_states,
     save_state,
     singlet,
     state_from_dict,
@@ -123,8 +122,8 @@ class TestSamplers:
         a = StateSampler("hs", seed=123).sample()
         b = StateSampler("hs", seed=123).sample()
         assert np.array_equal(a, b)
-        c = sample_states("pure", 5, seed=9)
-        d = sample_states("pure", 5, seed=9)
+        c = StateSampler("pure", seed=9).sample(5)
+        d = StateSampler("pure", seed=9).sample(5)
         assert np.array_equal(c, d)
 
     def test_kind_aliases_and_errors(self):

@@ -14,10 +14,9 @@ from uwitness import (
     moment_cycle,
     moment_via_observable,
     moments_direct,
-    observable_spectrum,
     outcome_probabilities,
-    projection_count,
 )
+from uwitness.checks import observable_spectrum, projection_count
 from uwitness.states import random_mixed_state, singlet
 
 

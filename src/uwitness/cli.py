@@ -12,7 +12,12 @@ runs too.  Suite -> acceptance criterion: moment routes -> 3, projector
 composition -> none (verify only), spectra and projection count -> 4,
 stage-1 nondemolition -> 6, invariant route and local-unitary drift -> 5,
 witness = det -> 2, bound corridor -> 1 (through checks.in_corridor, which
-scatter applies to every row).
+scatter applies to every row).  Only verify's projector, spectrum and
+nondemolition suites build the dense 4^n-dimensional oracle of checks;
+report, scatter and simulate run on the permutation traces alone.
+
+simulate takes --split as three positive finite weights, scaled by the
+largest before the shots are allotted, so no finite weight overflows.
 
 Exit codes: 0 success, 1 a verification suite or state validation failed,
 2 usage or file I/O error.
@@ -169,11 +174,15 @@ def cmd_simulate(args) -> tuple:
         weights = [float(x) for x in args.split.split(",")]
     except ValueError:
         raise UsageError(f"could not parse --split {args.split!r}") from None
-    if len(weights) != 3 or any(x <= 0 for x in weights):
-        raise UsageError("--split needs three positive numbers, e.g. 1,1,2")
+    # 0 < x < inf also rejects nan, which fails every comparison
+    if len(weights) != 3 or not all(0.0 < x < np.inf for x in weights):
+        raise UsageError("--split needs three positive finite numbers, e.g. 1,1,2")
 
-    # largest-remainder allocation so the per-moment shots sum to the budget
-    raw = args.shots * np.asarray(weights) / sum(weights)
+    # largest-remainder allocation so the per-moment shots sum to the budget;
+    # the weights are scaled to a largest weight of 1 first, so their sum
+    # cannot overflow
+    scaled = np.asarray(weights) / max(weights)
+    raw = args.shots * scaled / scaled.sum()
     alloc = np.floor(raw).astype(int)
     for k in np.argsort(raw - np.floor(raw))[::-1][: args.shots - alloc.sum()]:
         alloc[k] += 1

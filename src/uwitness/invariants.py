@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _dagger, _result, _trace
+from .linalg import _dagger, _pair_tensor, _result, _trace
 from .witness import MomentSet
 
 # sigma_0 = I, sigma_x, sigma_y, sigma_z as one (4, 2, 2) stack
@@ -59,10 +59,7 @@ class BlochDecomposition:
 
 def decompose(rho: np.ndarray) -> BlochDecomposition:
     """Pauli coefficients of a two-qubit state, real for a Hermitian rho."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (4, 4):
-        raise ValueError(f"expected shape (..., 4, 4), got {rho.shape}")
-    r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
+    r = _pair_tensor(np.asarray(rho, dtype=complex))
     return BlochDecomposition(np.einsum("iac,jbd,...cdab->...ij", PAULI, PAULI, r).real)
 
 

@@ -31,6 +31,8 @@ class ShotRecord:
     """Outcome counts of one finite-shot run on n_copies stacked pairs.
 
     counts follows OutcomeTable.as_vector() order: (+,+), (+,-), (-,+), (-,-).
+    A hand-built record is checked like a drawn one: ValueError unless
+    shots >= 1 and the counts are four nonnegative integers summing to shots.
     """
 
     n_copies: int
@@ -42,6 +44,12 @@ class ShotRecord:
         c = np.array(self.counts, dtype=float)
         if c.shape != (4,):
             raise ValueError(f"counts must have 4 entries, got shape {c.shape}")
+        if self.shots < 1:
+            raise ValueError(f"shots must be >= 1, got {self.shots}")
+        if not np.all((c >= 0) & (c == np.floor(c))):
+            raise ValueError(f"counts must be nonnegative integers, got {c.tolist()}")
+        if c.sum() != self.shots:
+            raise ValueError(f"counts sum to {c.sum():g}, not to shots = {self.shots}")
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
 
@@ -125,9 +133,6 @@ def estimate(records, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> Witn
     missing = [n for n in COPY_COUNTS if n not in by_n]
     if missing:
         raise ValueError(f"missing shot records for n = {missing}")
-    for r in by_n.values():
-        if r.shots < 1:
-            raise ValueError(f"record for n = {r.n_copies} has zero shots")
     if resamples < 1:
         raise ValueError(f"resamples must be >= 1, got {resamples}")
 
@@ -139,7 +144,7 @@ def estimate(records, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> Witn
     for n in COPY_COUNTS:
         r = by_n[n]
         c = r.counts
-        even = np.clip((c[0] + c[3]) / c.sum(), 0.0, 1.0)
+        even = (c[0] + c[3]) / r.shots
         k = rng.binomial(int(r.shots), even, size=resamples)
         boot_moments[n] = (2 * k - r.shots) / r.shots
     boot_w = witness_polynomial(boot_moments[2], boot_moments[3], boot_moments[4])

@@ -163,11 +163,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def haar_unitary(rng: np.random.Generator, dim: int = 2, shape: tuple = ()) -> np.ndarray:
-    """Haar-random unitary via QR of a Ginibre matrix with phase fixing; a
-    (*shape, dim, dim) stack from one draw, the stream of the single draws
-    in row-major order."""
-    g = rng.standard_normal((*shape, 2, dim, dim))
+def haar_unitary(rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+    """Haar-random one-qubit unitary via QR of a Ginibre matrix with phase
+    fixing; a (*shape, 2, 2) stack from one draw, the stream of the single
+    draws in row-major order."""
+    g = rng.standard_normal((*shape, 2, 2, 2))
     z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)

@@ -98,7 +98,7 @@ def rescaled_witness(value):
 
 def negativity(rho: np.ndarray):
     """N = 2 * max(0, -min eigenvalue of rho^PT); equals |sum of negative eigenvalues| * 2."""
-    # hermitian_eig rejects a non-finite entry as part of its Hermiticity check
+    # hermitian_eig rejects a non-finite entry before its Hermiticity check
     lowest = _result(hermitian_eig(partial_transpose(np.asarray(rho, dtype=complex)))[..., 0])
     return 2.0 * _positive_part(-lowest)
 
@@ -161,7 +161,12 @@ def lower_bound(w):
     and the flag w < _SERIES_BELOW picks a start by multiplying with 1 or 0,
     which also gives exactly 0 at w = 0.
     """
-    w = _check_w(w)
+    return _lower_bound(_check_w(w))
+
+
+def _lower_bound(w):
+    """lower_bound for a w that _check_w or rescaled_witness has already
+    checked and clamped to [0, 1]."""
     series = w < _SERIES_BELOW
     v = w + _SERIES_BELOW * series
     x = 3.0 * np.cbrt(2.0 * np.sqrt(v * v * (16.0 * v + 1.0)) - 2.0 * v)
@@ -176,12 +181,19 @@ def lower_bound(w):
 
 def upper_bound(w):
     """Tight upper bound on the concurrence: w**(1/4), saturated by pure states."""
-    return _check_w(w) ** 0.25
+    return _upper_bound(_check_w(w))
+
+
+def _upper_bound(w):
+    """upper_bound for an already checked and clamped w."""
+    return w ** 0.25
 
 
 def bounds(w) -> tuple:
-    """(lower bound on N, upper bound on C) for a given rescaled witness value."""
-    return lower_bound(w), upper_bound(w)
+    """(lower bound on N, upper bound on C) for a given rescaled witness
+    value, checked once for both."""
+    w = _check_w(w)
+    return _lower_bound(w), _upper_bound(w)
 
 
 def witness_report(rho: np.ndarray) -> WitnessReport:
@@ -190,8 +202,9 @@ def witness_report(rho: np.ndarray) -> WitnessReport:
     # the measures first: they reject non-finite input, which the moments pass
     c, n = concurrence(rho), negativity(rho)
     value = witness_value(moments_direct(rho))
+    # rescaled_witness already clamps w to [0, 1]: no second check
     w = rescaled_witness(value)
-    lo, hi = bounds(w)
+    lo, hi = _lower_bound(w), _upper_bound(w)
     return WitnessReport(
         witness=value,
         w=w,

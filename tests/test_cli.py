@@ -184,8 +184,9 @@ class TestVerify:
         assert out.endswith("overall: FAIL\n")
 
     def test_corridor_violation_fails(self, capsys, monkeypatch):
-        lower = witness.lower_bound
-        monkeypatch.setattr(witness, "lower_bound", lambda w: lower(w) + 1e-6)
+        # witness_report takes f(w) from the unchecked form, its w being clamped already
+        lower = witness._lower_bound
+        monkeypatch.setattr(witness, "_lower_bound", lambda w: lower(w) + 1e-6)
         code, out, _ = run(capsys, "--command", "verify", "--samples", "10", "--seed", "4")
         assert code == 1
         assert "FAIL  bound corridor" in out and out.count("FAIL") == 2
@@ -243,6 +244,23 @@ class TestSimulate:
         )
         assert code == 2
         assert "starves" in err
+
+    @pytest.mark.parametrize("split", ["nan,1,1", "inf,1,1"])
+    def test_non_finite_split_rejected(self, capsys, split):
+        code, _, err = run(capsys, "--command", "simulate", "--state", "singlet",
+                           "--shots", "30000", "--seed", "0", "--split", split)
+        assert code == 2 and "--split" in err and "starves" not in err
+
+    def test_huge_split_weights_do_not_overflow(self, capsys):
+        # the sum 1e308 + 1e308 overflows; scaled by the largest weight first,
+        # the third moment's share is 5e-309 of the budget, so it starves
+        code, _, err = run(capsys, "--command", "simulate", "--state", "singlet",
+                           "--shots", "30000", "--seed", "0", "--split", "1e308,1e308,1")
+        assert code == 2 and "starves" in err
+        code, out, _ = run(capsys, "--command", "simulate", "--state", "singlet", "--shots", "30000",
+                           "--seed", "0", "--bootstrap", "50", "--split", "1e308,1e308,1e308")
+        assert code == 0
+        assert json.loads(out)["estimate"]["shots_per_moment"] == {"2": 10000, "3": 10000, "4": 10000}
 
     def test_shots_and_seed_required(self, capsys):
         code, _, err = run(

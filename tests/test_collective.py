@@ -1,22 +1,29 @@
 import numpy as np
 import pytest
 
-import uwitness.collective as collective_module
-from uwitness.collective import (
-    COPY_COUNTS,
-    OutcomeTable,
-    moment_cycle,
+import uwitness.checks as checks_module
+import uwitness.collective
+import uwitness.invariants
+import uwitness.simulate
+import uwitness.witness
+from uwitness.checks import (
     moment_observable,
-    moment_via_observable,
-    moments_collective,
     observable_spectrum,
-    outcome_probabilities,
     parity_projector,
     projection_count,
     swap_layer,
     symmetrized_copies,
+    tensor_power,
 )
-from uwitness.linalg import RegisterLayout, hermitian_eig, partial_transpose, tensor_power
+from uwitness.collective import (
+    COPY_COUNTS,
+    OutcomeTable,
+    moment_cycle,
+    moment_via_observable,
+    moments_collective,
+    outcome_probabilities,
+)
+from uwitness.linalg import hermitian_eig, partial_transpose
 from uwitness.simulate import sample_shots
 from uwitness.states import phi_plus, random_mixed_state, random_pure_state, singlet, werner
 from uwitness.witness import moments_direct
@@ -36,15 +43,14 @@ LAYER_PAIRS = {
 
 def permutation_matrix(n, pairs):
     """Independent layer construction: compose bit swaps on basis indices."""
-    lay = RegisterLayout(n)
-    nq = lay.n_qubits
-    dim = lay.dim
+    nq = 2 * n
+    dim = 2 ** nq
+    offset = {"a": 0, "b": 1}  # copy k holds qubits a_k = 2(k-1) and b_k = 2(k-1) + 1
     m = np.zeros((dim, dim))
     for src in range(dim):
         bits = [(src >> (nq - 1 - q)) & 1 for q in range(nq)]
         for side, i, j in pairs:
-            qi = lay.a(i) if side == "a" else lay.b(i)
-            qj = lay.a(j) if side == "a" else lay.b(j)
+            qi, qj = 2 * (i - 1) + offset[side], 2 * (j - 1) + offset[side]
             bits[qi], bits[qj] = bits[qj], bits[qi]
         dest = sum(bit << (nq - 1 - q) for q, bit in enumerate(bits))
         m[dest, src] = 1.0
@@ -312,12 +318,17 @@ class TestEngineAgainstDenseOracle:
             with pytest.raises(ValueError):
                 moment_via_observable(bad, 4)
 
-    def test_runtime_routes_build_no_dense_operator(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("tensor_power called at run time")
-
-        monkeypatch.setattr(collective_module, "tensor_power", forbidden)
-        caches = (swap_layer, parity_projector, moment_observable)
+    def test_runtime_routes_build_no_dense_operator(self):
+        # the runtime modules hold no reference to the oracle or to checks ...
+        oracle = {id(checks_module)} | {
+            id(obj) for obj in vars(checks_module).values()
+            if callable(obj) and getattr(obj, "__module__", None) == checks_module.__name__
+        }
+        for module in (uwitness.collective, uwitness.witness, uwitness.invariants, uwitness.simulate):
+            leaks = [name for name, obj in vars(module).items() if id(obj) in oracle]
+            assert leaks == [], (module.__name__, leaks)
+        # ... and running them builds no dense operator
+        caches = (swap_layer, parity_projector, moment_observable, checks_module.layer_permutation)
         for cache in caches:
             cache.cache_clear()
         rho = random_mixed_state(np.random.default_rng(42))
@@ -328,4 +339,4 @@ class TestEngineAgainstDenseOracle:
         moments_collective(rho)
         for n in (3, 4):
             moment_via_observable(rho, n)
-        assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
+        assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0, 0]

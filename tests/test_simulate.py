@@ -111,14 +111,16 @@ class TestMomentEstimate:
 
 class TestEstimate:
     def test_plugin_reproduces_exact_witness(self):
-        # pseudo-counts equal to the exact outcome probabilities make the
-        # plug-in estimate coincide with the true witness
-        rho = werner(0.7)
+        # counts equal to shots times the exact outcome probabilities make
+        # the plug-in estimate coincide with the true witness; the Werner
+        # p = 1/2 tables are dyadic, so 2^20 shots give integer counts
+        rho = werner(0.5)
+        shots = 2 ** 20
         records = [
             ShotRecord(
                 n_copies=n,
-                shots=1,
-                counts=outcome_probabilities(rho, n).as_vector(),
+                shots=shots,
+                counts=np.round(outcome_probabilities(rho, n).as_vector() * shots),
                 seed=0,
             )
             for n in (2, 3, 4)
@@ -167,11 +169,22 @@ class TestEstimate:
             estimate(recs[:2])
         with pytest.raises(ValueError, match="duplicate"):
             estimate(recs + [recs[0]])
-        bad = ShotRecord(n_copies=2, shots=0, counts=np.zeros(4), seed=0)
-        with pytest.raises(ValueError, match="zero shots"):
-            estimate([bad, recs[1], recs[2]])
         with pytest.raises(ValueError, match="resamples"):
             estimate(recs, resamples=0)
+
+    @pytest.mark.parametrize(
+        "shots, counts, message",
+        [
+            (0, [0, 0, 0, 0], "shots must be >= 1"),
+            (100, [90, 5, 5, -50], "nonnegative integers"),
+            (1, [1.5, 0, 0, 0], "nonnegative integers"),
+            (100, [90, 5, 5, 5], "sum to 105"),
+        ],
+        ids=["zero-shots", "negative", "fractional", "wrong-sum"],
+    )
+    def test_hand_built_record_rejected(self, shots, counts, message):
+        with pytest.raises(ValueError, match=message):
+            ShotRecord(n_copies=2, shots=shots, counts=counts, seed=0)
 
     def test_estimate_fields(self):
         rho = werner(0.6)

@@ -80,8 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="1,1,1",
                    help="relative shot weights for the n=2,3,4 moments (default: 1,1,1)")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"),
-                   help="output format where a choice exists")
     return p
 
 
@@ -114,13 +112,6 @@ def _require_seed(args) -> int:
     return args.seed
 
 
-def _check_format(args, allowed, default):
-    fmt = args.format or default
-    if fmt not in allowed:
-        raise UsageError(f"--format {fmt} is not supported by {args.command}")
-    return fmt
-
-
 def _derived_seeds(seed: int, k: int) -> list:
     """k seeds drawn from np.random.SeedSequence(seed): unlike seed + i, they
     share no stream with a neighbouring --seed."""
@@ -129,7 +120,6 @@ def _derived_seeds(seed: int, k: int) -> list:
 
 def cmd_report(args):
     rho, label = _load_state(args.state)
-    _check_format(args, allowed=("json",), default="json")
     rep = witness_report(rho)
     sets = (moments_direct(rho), moments_collective(rho), moments_via_invariants(rho))
     doc = {"state": label}
@@ -142,7 +132,6 @@ def cmd_report(args):
 
 def cmd_scatter(args):
     seed = _require_seed(args)
-    _check_format(args, allowed=("csv",), default="csv")
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
     sampler = states.StateSampler(args.ensemble, seed)
@@ -165,7 +154,6 @@ def cmd_scatter(args):
 def cmd_simulate(args) -> tuple:
     rho, label = _load_state(args.state)
     seed = _require_seed(args)
-    _check_format(args, allowed=("json",), default="json")
     if args.shots is None or args.shots < 1:
         raise UsageError("--shots must be a positive total shot budget")
     if args.bootstrap < 1:
@@ -239,8 +227,6 @@ def _verify_suites(kind: str, samples: int, seed: int):
 
 
 def cmd_verify(args):
-    if args.format is not None:
-        raise UsageError("verify writes plain text; --format is not supported")
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
     seed = args.seed if args.seed is not None else 0

@@ -12,7 +12,7 @@ multinomial resample.  Everything is deterministic under a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -66,16 +66,10 @@ class WitnessEstimate:
     resamples: int
 
     def as_dict(self) -> dict:
-        return {
-            "pi2_hat": self.pi2_hat,
-            "pi3_hat": self.pi3_hat,
-            "pi4_hat": self.pi4_hat,
-            "witness_hat": self.witness_hat,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "shots_per_moment": {str(k): int(v) for k, v in sorted(self.shots_per_moment.items())},
-            "resamples": self.resamples,
-        }
+        """The fields in order, shots_per_moment keyed by str(n) for JSON."""
+        doc = asdict(self)
+        doc["shots_per_moment"] = {str(k): int(v) for k, v in sorted(self.shots_per_moment.items())}
+        return doc
 
 
 def sample_shots(rho: np.ndarray, n: int, shots: int, seed: int) -> ShotRecord:
@@ -86,20 +80,22 @@ def sample_shots(rho: np.ndarray, n: int, shots: int, seed: int) -> ShotRecord:
     the exact law of the counts of ``shots`` independent outcomes, at a cost
     that does not grow with ``shots``.  Cells with probability zero can never
     fire.  Raises ValueError unless ``shots`` is a positive integer and the
-    table is a distribution: no entry below -1e-12, sum within 1e-9 of 1.
+    table is a distribution: no entry below -1e-12 or NaN, sum within 1e-9
+    of 1.
     """
     if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
         raise ValueError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     p = outcome_probabilities(rho, n).as_vector()
-    if p.min() < -NEGATIVE_TOLERANCE:
+    # each comparison is written so that a NaN fails it
+    if not p.min() >= -NEGATIVE_TOLERANCE:
         raise ValueError(
             f"outcome table for n = {n} has an entry {p.min():.3e}, "
-            f"below the tolerance -{NEGATIVE_TOLERANCE:.0e}: not a state"
+            f"below the tolerance -{NEGATIVE_TOLERANCE:.0e} or not a number: not a state"
         )
     total = float(p.sum())
-    if abs(total - 1.0) > SUM_TOLERANCE:
+    if not abs(total - 1.0) <= SUM_TOLERANCE:
         raise ValueError(
             f"outcome table for n = {n} sums to {total!r}, {abs(total - 1.0):.3e} from 1, "
             f"beyond the tolerance {SUM_TOLERANCE:.0e}: not a normalised state"
@@ -109,10 +105,16 @@ def sample_shots(rho: np.ndarray, n: int, shots: int, seed: int) -> ShotRecord:
     return ShotRecord(n_copies=n, shots=int(shots), counts=counts, seed=seed)
 
 
+def _parity_moment(even, shots):
+    """(2 k - N)/N for k even-parity outcomes (c++ + c--) of N shots: the
+    signed sum (c++ - c+- - c-+ + c--)/N, exact in the integer counts."""
+    return (2 * even - shots) / shots
+
+
 def moment_estimate(record: ShotRecord) -> float:
     """Empirical signed sum (c++ - c+- - c-+ + c--)/shots."""
     c = record.counts
-    return float((c[0] - c[1] - c[2] + c[3]) / record.shots)
+    return float(_parity_moment(c[0] + c[3], record.shots))
 
 
 def estimate(records, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> WitnessEstimate:
@@ -144,9 +146,8 @@ def estimate(records, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> Witn
     for n in COPY_COUNTS:
         r = by_n[n]
         c = r.counts
-        even = (c[0] + c[3]) / r.shots
-        k = rng.binomial(int(r.shots), even, size=resamples)
-        boot_moments[n] = (2 * k - r.shots) / r.shots
+        k = rng.binomial(int(r.shots), (c[0] + c[3]) / r.shots, size=resamples)
+        boot_moments[n] = _parity_moment(k, r.shots)
     boot_w = witness_polynomial(boot_moments[2], boot_moments[3], boot_moments[4])
     ci_low, ci_high = np.quantile(boot_w, (0.025, 0.975))
 

@@ -80,7 +80,10 @@ def werner(p: float) -> np.ndarray:
 
 
 def product_state(theta: float) -> np.ndarray:
-    """Separable pure product state with one-qubit angles theta and theta/2."""
+    """Separable pure product state with one-qubit angles theta and theta/2;
+    theta must be finite."""
+    if not np.isfinite(theta):
+        raise ValueError(f"product state angle must be finite, got {theta}")
     qa = np.array([np.cos(theta), np.sin(theta)])
     qb = np.array([np.cos(theta / 2.0), np.sin(theta / 2.0)])
     return _pure(np.kron(qa, qb))

@@ -60,6 +60,14 @@ class TestReport:
         assert code == 2
         assert "neither a known name nor an existing file" in err
 
+    @pytest.mark.parametrize("command", ["report", "simulate"])
+    @pytest.mark.parametrize("spec", ["product:nan", "product:inf"])
+    def test_non_finite_parameter_is_a_usage_error(self, capsys, command, spec):
+        code, _, err = run(capsys, "--command", command, "--state", spec,
+                           "--shots", "3000", "--seed", "0")
+        assert code == 2
+        assert "angle must be finite" in err
+
     def test_missing_state_flag(self, capsys):
         code, _, err = run(capsys, "--command", "report")
         assert code == 2
@@ -143,11 +151,11 @@ class TestScatter:
         assert "--seed" in err
 
     def test_json_format_not_supported(self, capsys):
-        code, _, err = run(
-            capsys, "--command", "scatter", "--samples", "2", "--seed", "1",
-            "--format", "json",
-        )
-        assert code == 2
+        # no command has a choice of format, so argparse knows no --format
+        with pytest.raises(SystemExit) as exc:
+            main(["--command", "scatter", "--samples", "2", "--seed", "1", "--format", "json"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
 
 
 class TestVerify:

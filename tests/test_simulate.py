@@ -87,6 +87,13 @@ class TestSampleShots:
         with pytest.raises(ValueError, match=r"entry -1\.150e-01"):
             sample_shots(rho, 2, 1000, seed=1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_table_rejected(self, value):
+        # every table of an all-NaN or all-inf matrix holds a NaN, which fails
+        # the entry check before the multinomial draw sees it
+        with pytest.raises(ValueError, match=r"entry nan, below the tolerance -1e-12 or not a number"):
+            sample_shots(np.full((4, 4), value), 2, 100, 0)
+
     def test_record_counts_are_frozen(self):
         rec = sample_shots(MAX_MIXED, 2, 10, seed=0)
         with pytest.raises(ValueError):

@@ -86,6 +86,11 @@ class TestNamedStates:
         rho = validate(product_state(0.7))
         assert abs(np.trace(rho @ rho) - 1) < 1e-12
 
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_product_state_rejects_non_finite_angle(self, theta):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            product_state(theta)
+
     def test_pure_schmidt_endpoints(self):
         rho0 = pure_schmidt(0.0)
         assert abs(rho0[3, 3] - 1.0) < 1e-14  # |11>

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -140,12 +142,22 @@ def test_lower_bound_inverts_werner_line():
 
 
 def test_lower_bound_relative_accuracy_near_zero():
-    # the closed form alone loses digits as w -> 0 (2.3e-5 relative at 1e-12)
-    # and returns nan once w**2 underflows against w
     grid = np.concatenate([np.logspace(-15.0, 0.0, 151), [1e-20, 1e-100, 1e-300]])
     for w in grid:
         c = lower_bound(w)
         assert abs(c * (c + 2) ** 3 / 27.0 - w) <= 1e-9 * w, w
+    # exactly, in rational arithmetic: the root lies within 2e-15 relative of
+    # f(w), over [1e-300, 1] and around w = 0.198, where the Newton starts
+    # 27 w / 8 and w**(1/4) cross; floats and arrays take the same path
+    assert lower_bound(0.0) == 0.0 and lower_bound(1.0) == 1.0
+    def line(c):
+        return c * (c + 2) ** 3 / 27
+
+    eps = Fraction(2, 10 ** 15)
+    exact = np.concatenate([np.logspace(-300.0, 0.0, 301), np.linspace(0.19, 0.206, 161)])
+    for w, from_array in zip(exact, lower_bound(exact)):
+        for c in (Fraction(lower_bound(float(w))), Fraction(float(from_array))):
+            assert line(c * (1 - eps)) < Fraction(float(w)) < line(c * (1 + eps)), w
 
 
 def test_lower_bound_monotone():

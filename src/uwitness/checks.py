@@ -9,8 +9,8 @@ worst deviation over the stack.  Only nondemolition, whose oracle is a dense
 4^n-dimensional matrix per state, loops over the states.
 
 The oracle is the dense 4^n-dimensional form of the collective measurement:
-swap_layer, parity_projector (assembled from two-qubit swap projectors,
-composed recursively from n=2 up to n=4), moment_observable,
+swap_layer, parity_projector (composed pair by pair, in the order of
+collective._LAYER_PAIRS, from two-qubit swap projectors), moment_observable,
 symmetrized_copies and their building blocks swap_qubits and tensor_power.
 It lives here because projector algebra, the {1, 4} and {0, 2, 4} spectra,
 the seven projections and nondemolition are claims about those operators.
@@ -91,10 +91,7 @@ def swap_layer(n: int, stage: int) -> np.ndarray:
     """
     _check_n(n)
     _check_stage(stage)
-    m = np.eye(4 ** n)
-    for side, i, j in _LAYER_PAIRS[(n, stage)]:
-        m = m @ _pair_swap(n, side, i, j)
-    return _frozen(m)
+    return _frozen(reduce(np.matmul, (_pair_swap(n, *pair) for pair in _LAYER_PAIRS[(n, stage)])))
 
 
 @lru_cache(maxsize=None)
@@ -110,45 +107,32 @@ def _pair_projector(n: int, side: str, i: int, j: int, sign: int) -> np.ndarray:
     return (np.eye(4 ** n) + sign * _pair_swap(n, side, i, j)) / 2.0
 
 
-def _composed_projector(register: int, n: int, side: str, sign: int) -> np.ndarray:
-    """Stage projector on the first n of `register` copies, assembled from
-    two-qubit swap projectors.
-
-    Recursion over the copy count: the (n=4, +/-) projector reuses the n=3
-    ones embedded in the four-copy register, times a swap projector on the
-    last two copies; an odd inner parity flips the target parity.
-    """
-    if n == 2:
-        return _pair_projector(register, side, 1, 2, sign)
-    other = "b" if side == "a" else "a"
-    if n == 3:
-        p_minus = _pair_projector(register, side, 1, 2, -sign) @ _pair_projector(register, other, 2, 3, -1)
-        p_plus = _pair_projector(register, side, 1, 2, sign) @ _pair_projector(register, other, 2, 3, 1)
-        return p_minus + p_plus
-    if n == 4:
-        inner_minus = _composed_projector(register, 3, side, -sign)
-        inner_plus = _composed_projector(register, 3, side, sign)
-        return (
-            inner_minus @ _pair_projector(register, side, 3, 4, -1)
-            + inner_plus @ _pair_projector(register, side, 3, 4, 1)
-        )
-    raise ValueError(f"no projector recursion for n = {n}")
-
-
 @lru_cache(maxsize=None)
+def _stage_projectors(n: int, stage: int) -> tuple:
+    """(even, odd) parity projectors of a stage's swap layer, composed from
+    two-qubit swap projectors P+/- pair by pair in _LAYER_PAIRS order.  The
+    pairs act on disjoint qubits, so a new pair keeps the parity exactly when
+    its own is even: even, odd = even P+ + odd P-, even P- + odd P+."""
+    (side, i, j), *rest = _LAYER_PAIRS[(n, stage)]
+    even, odd = (_pair_projector(n, side, i, j, sign) for sign in (1, -1))
+    for side, i, j in rest:
+        plus, minus = (_pair_projector(n, side, i, j, sign) for sign in (1, -1))
+        even, odd = even @ plus + odd @ minus, even @ minus + odd @ plus
+    return _frozen(even), _frozen(odd)
+
+
 def parity_projector(n: int, stage: int, sign: int) -> np.ndarray:
     """Projector onto the +/-1 eigenspace of a stage's swap layer.
 
-    Built from pairwise swap projectors (the operationally measurable
-    pieces), not from (I + sign * layer)/2 -- the two agree exactly, which
-    projector_composition asserts.
+    Composed pair by pair from two-qubit swap projectors (the operationally
+    measurable pieces), not from (I + sign * layer)/2 -- the two agree
+    exactly, which projector_composition asserts.
     """
     _check_n(n)
     _check_stage(stage)
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    side = "a" if stage == 1 else "b"
-    return _frozen(_composed_projector(n, n, side, sign))
+    return _stage_projectors(n, stage)[0 if sign == 1 else 1]
 
 
 @lru_cache(maxsize=None)
@@ -171,9 +155,8 @@ def observable_spectrum(n: int) -> tuple:
 
 
 def projection_count() -> int:
-    """Projective outcomes needed for all three moments: 2 (n=2) plus one per
-    distinct eigenvalue of the n=3 and n=4 observables."""
-    return 2 + len(observable_spectrum(3)) + len(observable_spectrum(4))
+    """Projective outcomes needed for all three moments (see spectra_and_count)."""
+    return spectra_and_count()[2]
 
 
 def symmetrized_copies(rho: np.ndarray, n: int) -> np.ndarray:
@@ -224,9 +207,10 @@ def projector_composition() -> float:
 
 def spectra_and_count() -> tuple:
     """(spectrum of the n=3 observable, spectrum of the n=4 observable, number
-    of projections that give all three moments); the paper has ((1, 4),
-    (0, 2, 4), 7)."""
-    return observable_spectrum(3), observable_spectrum(4), projection_count()
+    of projections for all three moments: 2 (n=2) plus one per distinct
+    eigenvalue); the paper has ((1, 4), (0, 2, 4), 7)."""
+    s3, s4 = observable_spectrum(3), observable_spectrum(4)
+    return s3, s4, 2 + len(s3) + len(s4)
 
 
 def nondemolition(batch) -> float:

@@ -178,10 +178,11 @@ def cmd_simulate(args) -> tuple:
         raise UsageError(f"shot budget {args.shots} with split {args.split} starves a moment")
 
     *record_seeds, bootstrap_seed = _derived_seeds(seed, len(COPY_COUNTS) + 1)
-    records = [
-        sample_shots(rho, n, int(alloc[k]), record_seeds[k])
-        for k, n in enumerate(COPY_COUNTS)
-    ]
+    try:
+        records = [sample_shots(rho, n, int(alloc[k]), record_seeds[k]) for k, n in enumerate(COPY_COUNTS)]
+    except ValueError as exc:
+        # validate allows eigenvalues down to -1e-9, below sample_shots' table tolerance
+        raise CheckFailure(f"state {label!r}: {exc}") from None
     est = estimate(records, resamples=args.bootstrap, seed=bootstrap_seed)
     truth = witness_value(moments_direct(rho))
     doc = {

@@ -2,18 +2,19 @@
 
 Every two-qubit state is rho = (1/4) sum_ij T_ij sigma_i x sigma_j with the
 real 4x4 Pauli-coefficient matrix T_ij = tr[(sigma_i x sigma_j) rho],
-sigma_0 = I.  Its blocks are the Bloch data: the one-qubit vectors
-s = T[1:, 0] and p = T[0, 1:] and the 3x3 correlation matrix beta = T[1:, 1:],
-which local unitaries rotate by independent SO(3) rotations.  Makhlin's
-polynomial invariants of (s, p, beta) (Quantum Inf. Process. 1, 243 (2002))
-determine the state up to local unitaries; six combinations of them, `y`,
-already fix the moments of the partially transposed state, hence the witness:
+sigma_0 = I; decompose returns T itself, a plain real array.  Its blocks are
+the Bloch data: the one-qubit vectors s = T[1:, 0] and p = T[0, 1:] and the
+3x3 correlation matrix beta = T[1:, 1:], which local unitaries rotate by
+independent SO(3) rotations.  Makhlin's polynomial invariants of
+(s, p, beta) (Quantum Inf. Process. 1, 243 (2002)) determine the state up to
+local unitaries; six combinations of them, `y`, already fix the moments of
+the partially transposed state, hence the witness:
 
     moments_from_invariants(makhlin(decompose(rho)).y)
 
 Every function takes rho of shape (..., 4, 4) and broadcasts over the
-leading axes: t is then (..., 4, 4), s and p are (..., 3), and each
-invariant is an array of the leading shape (a Python float for one state).
+leading axes: T is then (..., 4, 4), and each invariant is an array of the
+leading shape (a Python float for one state).
 """
 
 from __future__ import annotations
@@ -37,35 +38,15 @@ _COF_ROWS = np.stack([_NEXT, _NEXT2, _NEXT, _NEXT2], axis=-1)[:, None, :]
 _COF_COLS = np.stack([_NEXT, _NEXT2, _NEXT2, _NEXT], axis=-1)[None, :, :]
 
 
-@dataclass(frozen=True)
-class BlochDecomposition:
-    """Pauli-coefficient matrix t[i, j] = tr[(sigma_i x sigma_j) rho] and its
-    blocks: local Bloch vectors s (side a), p (side b), correlations beta."""
-
-    t: np.ndarray
-
-    @property
-    def s(self) -> np.ndarray:
-        return self.t[..., 1:, 0]
-
-    @property
-    def p(self) -> np.ndarray:
-        return self.t[..., 0, 1:]
-
-    @property
-    def beta(self) -> np.ndarray:
-        return self.t[..., 1:, 1:]
-
-
-def decompose(rho: np.ndarray) -> BlochDecomposition:
-    """Pauli coefficients of a two-qubit state, real for a Hermitian rho."""
+def decompose(rho: np.ndarray) -> np.ndarray:
+    """Pauli-coefficient matrix t[i, j] = tr[(sigma_i x sigma_j) rho] of a
+    two-qubit state, real (..., 4, 4) for a Hermitian rho."""
     r = _pair_tensor(np.asarray(rho, dtype=complex))
-    return BlochDecomposition(np.einsum("iac,jbd,...cdab->...ij", PAULI, PAULI, r).real)
+    return np.einsum("iac,jbd,...cdab->...ij", PAULI, PAULI, r).real
 
 
-def reconstruct(bloch: BlochDecomposition) -> np.ndarray:
+def reconstruct(t: np.ndarray) -> np.ndarray:
     """Rebuild the density matrix, (1/4) sum_ij t_ij sigma_i x sigma_j."""
-    t = bloch.t
     return np.einsum("...ij,iac,jbd->...abcd", t, PAULI, PAULI).reshape(*t.shape[:-2], 4, 4) / 4.0
 
 
@@ -91,13 +72,12 @@ class MakhlinInvariants:
                 self.i5 + self.i8 + self.i14)
 
 
-def makhlin(bloch: BlochDecomposition) -> MakhlinInvariants:
-    """Evaluate the invariants from Bloch data.
+def makhlin(t: np.ndarray) -> MakhlinInvariants:
+    """Evaluate the invariants from the Pauli-coefficient matrix t of decompose.
 
     s is taken as a row and p as a column, so every contraction is a matmul
     over the leading axes, the same BLAS call as for one state's vectors.
     """
-    t = bloch.t
     beta = t[..., 1:, 1:]
     s, p = t[..., None, 1:, 0], t[..., 0, 1:, None]
     f = beta[..., _COF_ROWS, _COF_COLS]

@@ -24,8 +24,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .linalg import (_dagger, _positive_part, _require_finite, _result, _trace, hermitian_eig,
-                     partial_transpose)
+from .linalg import _positive_part, _require_finite, _result, _trace, hermitian_eig, partial_transpose
 
 # witness values within this band of zero are treated as "not detected"
 ENTANGLEMENT_ATOL = 1e-12
@@ -36,6 +35,7 @@ _NEWTON_STEPS = 5
 
 _SIGMA2 = np.array([[0.0, -1j], [1j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA2, _SIGMA2)
+_ZERO_EIGENVALUE_RTOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -105,13 +105,14 @@ def negativity(rho: np.ndarray):
 def concurrence(rho: np.ndarray):
     """Wootters concurrence C = max(0, 2 max_j lam_j - sum_j lam_j).
 
-    The lam_j are the square roots of the eigenvalues of the spin-flipped
-    product rho (s2 x s2) rho* (s2 x s2).  They are evaluated here as the
-    singular values of sqrt(rho) (s2 x s2) sqrt(rho)* -- the same numbers,
-    but accurate to machine precision even in the rank-deficient pure-state
-    case, where a non-Hermitian eigensolve loses half the digits on the
-    degenerate zeros.  concurrence_spinflip_eigs is the brute-force route
-    and the tests keep the two in agreement.
+    The lam_j are the square roots of the eigenvalues of rho S rho* S,
+    S = s2 x s2, evaluated as the singular values of a^T S a with
+    a = v sqrt(d) from rho = v diag(d) v^dag: the same numbers as for
+    sqrt(rho) S sqrt(rho)*, since S is real.  Eigenvalues of rho at or below
+    4 eps times the largest count as 0, so C is accurate to ~1e-15 even on
+    rank-deficient states, pure or mixed, where a non-Hermitian eigensolve
+    loses half the digits on the degenerate zeros.  concurrence_spinflip_eigs
+    is that brute-force route and the tests keep the two in agreement.
     """
     lam = _wootters_lambdas(_require_finite(rho))
     return _positive_part(2.0 * lam.max(axis=-1) - lam.sum(axis=-1))
@@ -119,8 +120,11 @@ def concurrence(rho: np.ndarray):
 
 def _wootters_lambdas(rho: np.ndarray) -> np.ndarray:
     d, v = np.linalg.eigh(rho)
-    root = (v * np.sqrt(np.maximum(d, 0.0))[..., None, :]) @ _dagger(v)
-    return np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
+    # eigh leaves a zero eigenvalue at a few eps of the largest, and its ~1e-9
+    # square root would enter every lam_j: such and negative eigenvalues are 0
+    d[d <= _ZERO_EIGENVALUE_RTOL * d[..., -1:]] = 0.0
+    a = v * np.sqrt(d)[..., None, :]
+    return np.linalg.svd(a.swapaxes(-1, -2) @ _SPIN_FLIP @ a, compute_uv=False)
 
 
 def concurrence_spinflip_eigs(rho: np.ndarray) -> np.ndarray:

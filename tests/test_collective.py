@@ -328,7 +328,8 @@ class TestEngineAgainstDenseOracle:
             leaks = [name for name, obj in vars(module).items() if id(obj) in oracle]
             assert leaks == [], (module.__name__, leaks)
         # ... and running them builds no dense operator
-        caches = (swap_layer, parity_projector, moment_observable, checks_module.layer_permutation)
+        caches = (swap_layer, checks_module._stage_projectors, moment_observable,
+                  checks_module.layer_permutation)
         for cache in caches:
             cache.cache_clear()
         rho = random_mixed_state(np.random.default_rng(42))

@@ -30,41 +30,40 @@ INVARIANT_FIELDS = [f.name for f in dataclasses.fields(MakhlinInvariants)]
 
 class TestDecompose:
     def test_maximally_mixed_has_no_bloch_data(self):
-        b = decompose(MAX_MIXED)
-        assert np.allclose(b.s, 0.0, atol=1e-14)
-        assert np.allclose(b.p, 0.0, atol=1e-14)
-        assert np.allclose(b.beta, 0.0, atol=1e-14)
+        t = decompose(MAX_MIXED)
+        assert np.allclose(t[1:, 0], 0.0, atol=1e-14)
+        assert np.allclose(t[0, 1:], 0.0, atol=1e-14)
+        assert np.allclose(t[1:, 1:], 0.0, atol=1e-14)
 
     def test_singlet_correlations(self):
-        b = decompose(singlet())
-        assert np.allclose(b.s, 0.0, atol=1e-14)
-        assert np.allclose(b.p, 0.0, atol=1e-14)
-        assert np.allclose(b.beta, -np.eye(3), atol=1e-14)
+        t = decompose(singlet())
+        assert np.allclose(t[1:, 0], 0.0, atol=1e-14)
+        assert np.allclose(t[0, 1:], 0.0, atol=1e-14)
+        assert np.allclose(t[1:, 1:], -np.eye(3), atol=1e-14)
 
     def test_phi_plus_correlations(self):
-        b = decompose(phi_plus())
-        assert np.allclose(b.beta, np.diag([1.0, -1.0, 1.0]), atol=1e-14)
+        t = decompose(phi_plus())
+        assert np.allclose(t[1:, 1:], np.diag([1.0, -1.0, 1.0]), atol=1e-14)
 
     def test_werner_correlations_scale_with_p(self):
         for p in (0.2, 0.7):
-            b = decompose(werner(p))
-            assert np.allclose(b.beta, -p * np.eye(3), atol=1e-13)
+            t = decompose(werner(p))
+            assert np.allclose(t[1:, 1:], -p * np.eye(3), atol=1e-13)
 
     def test_product_state_has_rank_one_beta(self):
-        b = decompose(product_state(0.4))
-        assert np.allclose(b.beta, np.outer(b.s, b.p), atol=1e-12)
+        t = decompose(product_state(0.4))
+        assert np.allclose(t[1:, 1:], np.outer(t[1:, 0], t[0, 1:]), atol=1e-12)
 
     def test_matches_kron_trace_definition(self):
         # t_ij = tr[(sigma_i x sigma_j) rho], evaluated one Kronecker product at a time
         rng = np.random.default_rng(40)
         for _ in range(20):
             rho = random_mixed_state(rng)
-            b = decompose(rho)
+            t = decompose(rho)
             expected = [[np.trace(np.kron(PAULI[i], PAULI[j]) @ rho).real for j in range(4)]
                         for i in range(4)]
-            assert np.abs(b.t - expected).max() < 1e-14
-            assert np.array_equal(b.s, b.t[1:, 0]) and np.array_equal(b.p, b.t[0, 1:])
-            assert np.array_equal(b.beta, b.t[1:, 1:])
+            assert type(t) is np.ndarray and t.dtype == np.float64 and t.shape == (4, 4)
+            assert np.abs(t - expected).max() < 1e-14
 
     def test_reconstruct_roundtrip(self):
         rng = np.random.default_rng(41)
@@ -163,4 +162,4 @@ class TestLocalUnitaryInvariance:
         rng = np.random.default_rng(48)
         rho = werner(0.8)
         rotated = apply_local_unitary(rho, haar_unitary(rng), haar_unitary(rng))
-        assert np.abs(decompose(rotated).beta - decompose(rho).beta).max() > 1e-3
+        assert np.abs(decompose(rotated)[1:, 1:] - decompose(rho)[1:, 1:]).max() > 1e-3

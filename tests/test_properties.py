@@ -15,7 +15,8 @@ from uwitness import checks
 from uwitness.collective import moments_collective
 from uwitness.invariants import apply_local_unitary, moments_via_invariants
 from uwitness.states import haar_unitary, werner
-from uwitness.witness import ENTANGLEMENT_ATOL, moments_direct, negativity, witness_report, witness_value
+from uwitness.witness import (ENTANGLEMENT_ATOL, concurrence, moments_direct, negativity, witness_report,
+                              witness_value)
 
 DERANDOMIZED = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
@@ -111,6 +112,7 @@ def test_local_unitary_invariance(rho, seed):
     for a, b in zip(moments_direct(rho).as_tuple(), moments_direct(rotated).as_tuple()):
         assert abs(a - b) < LU_TOL
     assert abs(negativity(rho) - negativity(rotated)) < LU_TOL
+    assert abs(concurrence(rho) - concurrence(rotated)) < LU_TOL
 
 
 @DERANDOMIZED

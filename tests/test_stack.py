@@ -50,7 +50,7 @@ STATE_LAYERS = {
     "negativity": negativity,
     "concurrence": concurrence,
     "witness_report": lambda r: tuple(witness_report(r).as_dict().values()),
-    "decompose": lambda r: decompose(r).t,
+    "decompose": decompose,
     "reconstruct": lambda r: reconstruct(decompose(r)),
     "makhlin": lambda r: tuple(vars(makhlin(decompose(r))).values()) + makhlin(decompose(r)).y,
     "moments_from_invariants": lambda r: moments_from_invariants(makhlin(decompose(r)).y).as_tuple(),
@@ -128,7 +128,7 @@ def test_two_leading_axes_broadcast():
     rep = witness_report(grid)
     assert rep.w.shape == rep.entangled.shape == (2, 3)
     assert outcome_probabilities(grid, 4).probabilities.shape == (2, 3, 2, 2)
-    assert decompose(grid).t.shape == (2, 3, 4, 4)
+    assert decompose(grid).shape == (2, 3, 4, 4)
     for i in range(2):
         for j in range(3):
             single = witness_report(grid[i, j])

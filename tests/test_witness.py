@@ -3,8 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from uwitness.invariants import apply_local_unitary
 from uwitness.linalg import hermitian_eig, partial_transpose
 from uwitness.states import (
+    haar_unitary,
     pure_schmidt,
     random_mixed_state,
     random_pure_state,
@@ -126,6 +128,20 @@ def test_concurrence_agrees_with_brute_force_eigensolve():
         assert abs(concurrence(rho) - c_brute) < 1e-7
     lam = concurrence_spinflip_eigs(singlet())
     assert np.allclose(lam, [1.0, 0.0, 0.0, 0.0], atol=1e-7)
+
+
+def test_concurrence_local_unitary_invariant_on_rank_three_states():
+    # 200 rank-3 mixtures of three vectors with equal first two amplitudes,
+    # so (1, -1, 0, 0) spans the kernel; eigh returns its eigenvalue near
+    # 1e-18, and its square root, if kept, moves C by up to 1.3e-8 under a rotation
+    rng = np.random.default_rng(0)
+    v = rng.normal(size=(200, 3, 4)) + 1j * rng.normal(size=(200, 3, 4))
+    v[..., 1] = v[..., 0]
+    rho = np.einsum("sk,ski,skj->sij", rng.random((200, 3)), v, v.conj())
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    u = haar_unitary(rng, shape=(200, 2))
+    rotated = apply_local_unitary(rho, u[:, 0], u[:, 1])
+    assert np.abs(concurrence(rho) - concurrence(rotated)).max() < 1e-12
 
 
 def test_lower_bound_reference_points():

@@ -151,7 +151,9 @@ def moment_observable(n: int) -> np.ndarray:
 def observable_spectrum(n: int) -> tuple:
     """Distinct eigenvalues of moment_observable(n), rounded at 1e-8, ascending."""
     eigs = hermitian_eig(moment_observable(n))
-    return tuple(float(v) for v in np.unique(np.round(eigs, 8)))
+    # a set, not np.unique, whose first call imports numpy.ma; + 0.0 turns a
+    # rounded -0.0 into 0.0
+    return tuple(sorted({v + 0.0 for v in np.round(eigs, 8).tolist()}))
 
 
 def projection_count() -> int:

@@ -16,8 +16,10 @@ scatter applies to every row).  Only verify's projector, spectrum and
 nondemolition suites build the dense 4^n-dimensional oracle of checks;
 report, scatter and simulate run on the permutation traces alone.
 
-simulate takes --split as three positive finite weights, scaled by the
-largest before the shots are allotted, so no finite weight overflows.
+simulate gives each of n = 2, 3, 4 a third of --shots (the remainder goes to
+n = 4, then n = 3) and takes simulate.DEFAULT_RESAMPLES (1000) bootstrap
+resamples.  A weighted split is a library call: sample_shots per n with its
+own shot count, then estimate(records, resamples=...).
 
 Exit codes: 0 success, 1 a verification suite or state validation failed,
 2 usage or file I/O error.
@@ -75,10 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, help="total shot budget for simulate")
     p.add_argument("--seed", type=int,
                    help="RNG seed; required for scatter and simulate")
-    p.add_argument("--bootstrap", type=int, default=1000,
-                   help="bootstrap resamples for simulate (default: 1000)")
-    p.add_argument("--split", default="1,1,1",
-                   help="relative shot weights for the n=2,3,4 moments (default: 1,1,1)")
     p.add_argument("--out", help="output path (default: stdout)")
     return p
 
@@ -156,40 +154,24 @@ def cmd_simulate(args) -> tuple:
     seed = _require_seed(args)
     if args.shots is None or args.shots < 1:
         raise UsageError("--shots must be a positive total shot budget")
-    if args.bootstrap < 1:
-        raise UsageError(f"--bootstrap must be >= 1, got {args.bootstrap}")
-    try:
-        weights = [float(x) for x in args.split.split(",")]
-    except ValueError:
-        raise UsageError(f"could not parse --split {args.split!r}") from None
-    # 0 < x < inf also rejects nan, which fails every comparison
-    if len(weights) != 3 or not all(0.0 < x < np.inf for x in weights):
-        raise UsageError("--split needs three positive finite numbers, e.g. 1,1,2")
-
-    # largest-remainder allocation so the per-moment shots sum to the budget;
-    # the weights are scaled to a largest weight of 1 first, so their sum
-    # cannot overflow
-    scaled = np.asarray(weights) / max(weights)
-    raw = args.shots * scaled / scaled.sum()
-    alloc = np.floor(raw).astype(int)
-    for k in np.argsort(raw - np.floor(raw))[::-1][: args.shots - alloc.sum()]:
-        alloc[k] += 1
-    if alloc.min() < 1:
-        raise UsageError(f"shot budget {args.shots} with split {args.split} starves a moment")
+    # equal thirds for n = 2, 3, 4; the remainder goes to n = 4, then n = 3
+    third, rest = divmod(args.shots, 3)
+    alloc = [third + (k >= 3 - rest) for k in range(3)]
+    if third < 1:
+        raise UsageError(f"shot budget {args.shots} starves a moment: n = 2, 3, 4 need a shot each")
 
     *record_seeds, bootstrap_seed = _derived_seeds(seed, len(COPY_COUNTS) + 1)
     try:
-        records = [sample_shots(rho, n, int(alloc[k]), record_seeds[k]) for k, n in enumerate(COPY_COUNTS)]
+        records = [sample_shots(rho, n, alloc[k], record_seeds[k]) for k, n in enumerate(COPY_COUNTS)]
     except ValueError as exc:
         # validate allows eigenvalues down to -1e-9, below sample_shots' table tolerance
         raise CheckFailure(f"state {label!r}: {exc}") from None
-    est = estimate(records, resamples=args.bootstrap, seed=bootstrap_seed)
+    est = estimate(records, seed=bootstrap_seed)
     truth = witness_value(moments_direct(rho))
     doc = {
         "state": label,
         "seed": seed,
         "shots": args.shots,
-        "split": weights,
         "counts": {str(r.n_copies): [int(c) for c in r.counts] for r in records},
         "estimate": est.as_dict(),
         "true_witness": truth,

@@ -72,6 +72,14 @@ class WitnessEstimate:
         return doc
 
 
+def _require_count(name, value):
+    """ValueError naming value unless it is an integer >= 1 (no bool, no float)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def sample_shots(rho: np.ndarray, n: int, shots: int, seed: int) -> ShotRecord:
     """Draw the outcome counts of ``shots`` runs of the n-copy sequential
     measurement.
@@ -83,10 +91,7 @@ def sample_shots(rho: np.ndarray, n: int, shots: int, seed: int) -> ShotRecord:
     table is a distribution: no entry below -1e-12 or NaN, sum within 1e-9
     of 1.
     """
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
-        raise ValueError(f"shots must be an integer, got {shots!r}")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    _require_count("shots", shots)
     p = outcome_probabilities(rho, n).as_vector()
     # each comparison is written so that a NaN fails it
     if not p.min() >= -NEGATIVE_TOLERANCE:
@@ -125,7 +130,8 @@ def estimate(records, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> Witn
     (2k - N)/N with k ~ Binomial(N, (c++ + c--)/N), the law of the moment
     under a multinomial resample of the counts (the moment depends on the
     even-parity count alone), and takes the 2.5% / 97.5% quantiles of the
-    recomputed witness values.
+    recomputed witness values.  Raises ValueError unless ``resamples`` is an
+    integer >= 1.
     """
     by_n = {}
     for r in records:
@@ -135,8 +141,7 @@ def estimate(records, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> Witn
     missing = [n for n in COPY_COUNTS if n not in by_n]
     if missing:
         raise ValueError(f"missing shot records for n = {missing}")
-    if resamples < 1:
-        raise ValueError(f"resamples must be >= 1, got {resamples}")
+    _require_count("resamples", resamples)
 
     hats = {n: moment_estimate(by_n[n]) for n in COPY_COUNTS}
     witness_hat = float(witness_polynomial(hats[2], hats[3], hats[4]))

@@ -16,6 +16,13 @@ bools, a stack gives arrays of its leading shape.  negativity, concurrence
 and witness_report mean something only for a state, and raise ValueError
 naming the first state of the stack with a non-finite entry; the moments
 are polynomials and pass a NaN through.
+
+Error model: w carries about 1e-15 absolute error, whatever its size, since
+the moment polynomial cancels O(1) terms.  ENTANGLEMENT_ATOL = 1e-12 on the
+witness is the verdict cut-off: werner(1/3 + 1e-12) gives w = 4.44385e-13
+against about 4.4444e-13 exactly, and entangled = False although
+N = 1.5e-12.  checks.in_corridor allows W_SLACK on w and BOUND_SLACK on the
+edges, and compares the upper edge as C^4 <= w.
 """
 
 from __future__ import annotations

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +187,19 @@ class TestVerify:
         _, out2, _ = run(capsys, "--command", "verify", "--samples", "10", "--seed", "4")
         assert out1 == out2
 
+    def test_fresh_process_leaves_numpy_ma_unimported(self):
+        # np.unique's first call imports numpy.ma, some 14 ms of every fresh
+        # verify process; the spectra are deduplicated without it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = ("import sys; from uwitness.cli import main; "
+                  "code = main(['--command', 'verify', '--samples', '2', '--seed', '0']); "
+                  "print('numpy.ma' in sys.modules, code)")
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "overall: PASS" in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "False 0"
+
     def test_route_deviation_fails(self, capsys, monkeypatch):
         cycle = checks.moment_cycle
         monkeypatch.setattr(checks, "moment_cycle", lambda rho, n: cycle(rho, n) + 1e-8)
@@ -209,7 +226,6 @@ class TestSimulate:
             "--state", "werner:0.8",
             "--shots", "30000",
             "--seed", "11",
-            "--bootstrap", "400",
         )
         assert code == 0
         doc = json.loads(out)
@@ -233,25 +249,21 @@ class TestSimulate:
     def test_deterministic_under_seed(self, capsys):
         args = (
             "--command", "simulate", "--state", "werner:0.6",
-            "--shots", "3000", "--seed", "8", "--bootstrap", "100",
+            "--shots", "3000", "--seed", "8",
         )
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
-    def test_split_allocates_budget(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "--command", "simulate",
-            "--state", "werner:0.8",
-            "--shots", "4000",
-            "--split", "1,1,2",
-            "--seed", "3",
-            "--bootstrap", "50",
-        )
+    @pytest.mark.parametrize("shots, per_moment", [
+        (30001, {"2": 10000, "3": 10000, "4": 10001}),
+        (30002, {"2": 10000, "3": 10001, "4": 10001}),
+    ])
+    def test_remainder_goes_to_higher_moments(self, capsys, shots, per_moment):
+        code, out, _ = run(capsys, "--command", "simulate", "--state", "werner:0.8",
+                           "--shots", str(shots), "--seed", "3")
         assert code == 0
-        doc = json.loads(out)
-        assert doc["estimate"]["shots_per_moment"] == {"2": 1000, "3": 1000, "4": 2000}
+        assert json.loads(out)["estimate"]["shots_per_moment"] == per_moment
 
     def test_budget_must_cover_every_moment(self, capsys):
         code, _, err = run(
@@ -264,22 +276,13 @@ class TestSimulate:
         assert code == 2
         assert "starves" in err
 
-    @pytest.mark.parametrize("split", ["nan,1,1", "inf,1,1"])
-    def test_non_finite_split_rejected(self, capsys, split):
-        code, _, err = run(capsys, "--command", "simulate", "--state", "singlet",
-                           "--shots", "30000", "--seed", "0", "--split", split)
-        assert code == 2 and "--split" in err and "starves" not in err
-
-    def test_huge_split_weights_do_not_overflow(self, capsys):
-        # the sum 1e308 + 1e308 overflows; scaled by the largest weight first,
-        # the third moment's share is 5e-309 of the budget, so it starves
-        code, _, err = run(capsys, "--command", "simulate", "--state", "singlet",
-                           "--shots", "30000", "--seed", "0", "--split", "1e308,1e308,1")
-        assert code == 2 and "starves" in err
-        code, out, _ = run(capsys, "--command", "simulate", "--state", "singlet", "--shots", "30000",
-                           "--seed", "0", "--bootstrap", "50", "--split", "1e308,1e308,1e308")
-        assert code == 0
-        assert json.loads(out)["estimate"]["shots_per_moment"] == {"2": 10000, "3": 10000, "4": 10000}
+    @pytest.mark.parametrize("option", [("--split", "1,1,1"), ("--bootstrap", "400")])
+    def test_split_and_bootstrap_not_supported(self, capsys, option):
+        # a weighted split or another resample count is a library call
+        with pytest.raises(SystemExit) as exc:
+            main(["--command", "simulate", "--state", "singlet", "--shots", "3000", "--seed", "0", *option])
+        assert exc.value.code == 2
+        assert option[0] in capsys.readouterr().err
 
     def test_shots_and_seed_required(self, capsys):
         code, _, err = run(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,13 @@ class TestEstimate:
             estimate(recs + [recs[0]])
         with pytest.raises(ValueError, match="resamples"):
             estimate(recs, resamples=0)
+
+    @pytest.mark.parametrize("resamples", [True, 2.5, 1000.0, "1000"])
+    def test_non_integer_resamples_rejected(self, resamples):
+        # the policy sample_shots applies to shots; numpy would raise a TypeError
+        recs = draw_records(werner(0.5), 100, 0)
+        with pytest.raises(ValueError, match=f"integer, got {re.escape(repr(resamples))}"):
+            estimate(recs, resamples=resamples)
 
     @pytest.mark.parametrize(
         "shots, counts, message",

@@ -30,12 +30,20 @@ P_y = (I + y L1)/2 and Q_x = (I + x L2)/2, and since L1 and L2 square to I,
 
 with t(I) = (tr rho)^n = 1 for a state; (t(I) + y t(L1))/2 is the stage-1
 probability of outcome y.  The cycle route is t(L1 L2) and the
-squared-sum route uses (L1 + L2)^2 = 2I + L1 L2 + L2 L1.  Each t(pi) is one
-einsum over n copies of the 2x2x2x2 tensor of rho, whose subscripts pair the
-row label of every qubit with the column label of its image under pi.  No
-4^n-dimensional operator is built here.  Every route takes rho of shape
-(..., 4, 4) and broadcasts over the leading axes (every einsum operand
-carries them as `...`); one state gives Python floats.
+squared-sum route uses (L1 + L2)^2 = 2I + L1 L2 + L2 L1.
+
+Since tr[pi R] = sum_src R[src, pi(src)] and R = rho^(x)n factorizes over
+the copies, t(pi) is a sum over the 4^n basis states of a product of n
+entries of rho, one per copy.  Which entry copy k contributes to basis state
+src depends on pi alone, so the layer products (words) a route needs are
+compiled once per (n, words) into a cached gather table (_trace_indices).  A
+call gathers every factor of every word in one step and reduces them with
+one einsum, which multiplies the n copies and sums over the basis states:
+one einsum per route call, not one per trace.  A stack is gathered in blocks
+of _TRACE_BLOCK states, so the gather stays small whatever the size of the
+stack.  No 4^n-dimensional operator is built here.  Every route takes rho of
+shape (..., 4, 4) and broadcasts over the leading axes; one state gives
+Python floats.
 
 The dense operators (swap layers, parity projectors, the squared-sum
 observable, the symmetrized copy stack) live in uwitness.checks, the module
@@ -47,7 +55,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from string import ascii_letters
 
 import numpy as np
 
@@ -81,54 +88,86 @@ def _qubit(side: str, copy: int) -> int:
     return 2 * (copy - 1) + (side == "b")
 
 
+# states of a stack gathered at once: the gather holds 16 x n x words x 4^n
+# complex entries (1.5 MB for the six table words at n = 4) whatever the
+# size of the stack
+_TRACE_BLOCK = 16
+
+# the six layer products of the outcome table, in the order p(x, y) reads them
+_TABLE_WORDS = ((), (1,), (2,), (1, 2), (2, 1), (1, 2, 1))
+
+
 @lru_cache(maxsize=None)
-def _trace_subscripts(n: int, stages: tuple) -> str:
-    """einsum subscripts of tr[pi rho^(x)n] for pi = layer(stages[0]) @ layer(stages[1]) @ ...
+def _trace_indices(n: int, words: tuple) -> np.ndarray:
+    """Gather table idx[k, w, src] for the permutation traces of `words`,
+    word w naming the layer product pi_w = layer(w[0]) @ layer(w[1]) @ ...;
+    cached and read-only.
 
     pi maps basis state `src` to the state whose qubit q holds bit
-    source[q] of `src`, so tr[pi R] = sum_src R[src, pi(src)]: the column
-    label of qubit q is the row label of qubit source[q].  The sum runs over
-    one binary label per qubit, at most 2^8 terms (n = 4); numpy's one-pass
-    contraction is cheaper there than planning and running a pairwise path.
+    source[q] of `src`, so tr[pi rho^(x)n] = sum_src prod_k rho[row_k, col_k]:
+    the row bits of copy k are the bits of its qubits a_k, b_k in `src`, and
+    its column bits those of qubits source[a_k], source[b_k].  idx[k, w, src]
+    is the index of that entry in rho.reshape(16).  A trace is at most 4^4 =
+    256 products of n factors, so an einsum call per trace spent more on
+    parsing and set-up than on arithmetic; with this table a route gathers
+    the factors of all its words at once and pays for one einsum.
     """
-    source = list(range(2 * n))
-    for stage in stages:
-        swap = list(range(2 * n))
-        for side, i, j in _LAYER_PAIRS[(n, stage)]:
-            qi, qj = _qubit(side, i), _qubit(side, j)
-            swap[qi], swap[qj] = qj, qi
-        source = [swap[q] for q in source]
-    copies = [(_qubit("a", k), _qubit("b", k)) for k in range(1, n + 1)]
-    return ",".join(
-        "..." + ascii_letters[a] + ascii_letters[b] + ascii_letters[source[a]] + ascii_letters[source[b]]
-        for a, b in copies
-    ) + "->..."
+    bits = (np.arange(4**n) >> np.arange(2 * n - 1, -1, -1)[:, None]) & 1  # bits[q]: qubit q of src
+    idx = np.empty((n, len(words), 4**n), dtype=np.intp)
+    for w, stages in enumerate(words):
+        source = list(range(2 * n))
+        for stage in stages:
+            swap = list(range(2 * n))
+            for side, i, j in _LAYER_PAIRS[(n, stage)]:
+                qi, qj = _qubit(side, i), _qubit(side, j)
+                swap[qi], swap[qj] = qj, qi
+            source = [swap[q] for q in source]
+        for k in range(n):
+            a, b = _qubit("a", k + 1), _qubit("b", k + 1)
+            idx[k, w] = 8 * bits[a] + 4 * bits[b] + 2 * bits[source[a]] + bits[source[b]]
+    idx.setflags(write=False)
+    return idx
 
 
-def _permutation_trace(r: np.ndarray, n: int, stages: tuple):
-    """Re t(pi) = Re tr[pi rho^(x)n] for the layer product named by `stages`."""
-    return _result(np.einsum(_trace_subscripts(n, stages), *([r] * n)).real)
+def _permutation_traces(rho, n: int, words: tuple) -> tuple:
+    """Re t(pi_w) = Re tr[pi_w rho^(x)n] for each word of `words` (see
+    _trace_indices): Python floats for one state, arrays over the leading
+    axes for a stack.
+
+    A stack is traced in blocks of _TRACE_BLOCK states and a single state as
+    a block of one, through the same einsum, so a state's traces do not
+    depend on the stack it sits in.  The einsum multiplies without numpy's
+    floating-point checks, so a non-finite input gives NaN, not a warning.
+    """
+    r = _pair_tensor(np.asarray(rho, dtype=complex))
+    lead = r.shape[:-4]
+    r = r.reshape(-1, 16)
+    idx = _trace_indices(n, words)
+    subscripts = ",".join(["bws"] * n) + "->wb"
+    traces = np.empty((len(words), len(r)))
+    for start in range(0, len(r), _TRACE_BLOCK):
+        # factors[k] is (block, words, 4^n); freed before the next block is gathered
+        factors = r[start:start + _TRACE_BLOCK].take(idx, axis=1).swapaxes(0, 1)
+        traces[:, start:start + _TRACE_BLOCK] = np.einsum(subscripts, *factors).real
+        del factors
+    traces = traces.reshape((len(words),) + lead)
+    return tuple(traces if lead else traces.tolist())
 
 
 def moment_cycle(rho: np.ndarray, n: int) -> float:
     """Moment as tr[(stage1 stage2) rho^(x)n]; the layer product is an n-cycle
     on each side register, and the order of the factors does not matter."""
     _check_n(n)
-    return _permutation_trace(_pair_tensor(np.asarray(rho, dtype=complex)), n, (1, 2))
+    return _permutation_traces(rho, n, ((1, 2),))[0]
 
 
 def moment_via_observable(rho: np.ndarray, n: int) -> float:
     """Moment as tr[(L1 + L2)^2 rho^(x)n] / 2 - 1 (n = 3 or 4 only)."""
     if n not in (3, 4):
         raise ValueError(f"the squared-sum route needs n in (3, 4), got {n}")
-    r = _pair_tensor(np.asarray(rho, dtype=complex))
     # (L1 + L2)^2 = 2I + L1 L2 + L2 L1
-    expectation = (
-        2.0 * _permutation_trace(r, n, ())
-        + _permutation_trace(r, n, (1, 2))
-        + _permutation_trace(r, n, (2, 1))
-    )
-    return 0.5 * expectation - 1.0
+    t_id, t12, t21 = _permutation_traces(rho, n, ((), (1, 2), (2, 1)))
+    return 0.5 * (2.0 * t_id + t12 + t21) - 1.0
 
 
 @dataclass(frozen=True)
@@ -170,11 +209,8 @@ def outcome_probabilities(rho: np.ndarray, n: int) -> OutcomeTable:
     evaluated from six permutation traces (see the module docstring).
     """
     _check_n(n)
-    r = _pair_tensor(np.asarray(rho, dtype=complex))
-    t_id, t1, t2, t12, t21, t121 = (
-        _permutation_trace(r, n, stages) for stages in ((), (1,), (2,), (1, 2), (2, 1), (1, 2, 1))
-    )
-    probs = np.empty(r.shape[:-4] + (2, 2))
+    t_id, t1, t2, t12, t21, t121 = _permutation_traces(rho, n, _TABLE_WORDS)
+    probs = np.empty(np.shape(t_id) + (2, 2))
     for yi, y in enumerate(OUTCOME_SIGNS):
         # grouped so that outcomes the state forbids (e.g. the singlet's) come out exactly 0
         stage1 = t_id + y * t1

@@ -32,7 +32,8 @@ class ShotRecord:
 
     counts follows OutcomeTable.as_vector() order: (+,+), (+,-), (-,+), (-,-).
     A hand-built record is checked like a drawn one: ValueError unless
-    shots >= 1 and the counts are four nonnegative integers summing to shots.
+    shots is an integer >= 1 (no bool, no float) and the counts are four
+    nonnegative integers summing to shots.
     """
 
     n_copies: int
@@ -44,8 +45,7 @@ class ShotRecord:
         c = np.array(self.counts, dtype=float)
         if c.shape != (4,):
             raise ValueError(f"counts must have 4 entries, got shape {c.shape}")
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
+        _require_count("shots", self.shots)
         if not np.all((c >= 0) & (c == np.floor(c))):
             raise ValueError(f"counts must be nonnegative integers, got {c.tolist()}")
         if c.sum() != self.shots:

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,10 @@ from uwitness.checks import (
     tensor_power,
 )
 from uwitness.collective import (
+    _TABLE_WORDS,
     COPY_COUNTS,
     OutcomeTable,
+    _permutation_traces,
     moment_cycle,
     moment_via_observable,
     moments_collective,
@@ -299,6 +303,19 @@ class TestEngineAgainstDenseOracle:
                 if n >= 3:
                     observable = 0.5 * np.trace(moment_observable(n) @ rn).real - 1.0
                     assert abs(moment_via_observable(rho, n) - observable) < 1e-12, (label, n)
+
+    def test_each_table_word_trace(self):
+        # the table reads t(L2) + t(L1 L2 L1) and t(L1 L2) + t(L2 L1) only as
+        # sums, so each of its six words is checked on its own
+        assert _TABLE_WORDS == ((), (1,), (2,), (1, 2), (2, 1), (1, 2, 1))
+        for n in COPY_COUNTS:
+            dense = [reduce(np.matmul, [swap_layer(n, stage) for stage in word], np.eye(4**n))
+                     for word in _TABLE_WORDS]
+            for label, rho in oracle_states():
+                rn = tensor_power(rho, n)
+                traces = _permutation_traces(rho, n, _TABLE_WORDS)
+                for word, op, trace in zip(_TABLE_WORDS, dense, traces):
+                    assert abs(trace - np.trace(op @ rn).real) < 1e-12, (label, n, word)
 
     def test_unnormalized_input_matches_oracle(self):
         # t(I) = (tr rho)^n enters the table as it does the dense trace

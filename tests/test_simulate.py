@@ -195,8 +195,10 @@ class TestEstimate:
             (100, [90, 5, 5, -50], "nonnegative integers"),
             (1, [1.5, 0, 0, 0], "nonnegative integers"),
             (100, [90, 5, 5, 5], "sum to 105"),
+            (True, [1, 0, 0, 0], "shots must be an integer, got True"),
+            (1000.0, [500, 0, 0, 500], r"shots must be an integer, got 1000\.0"),
         ],
-        ids=["zero-shots", "negative", "fractional", "wrong-sum"],
+        ids=["zero-shots", "negative", "fractional", "wrong-sum", "bool-shots", "float-shots"],
     )
     def test_hand_built_record_rejected(self, shots, counts, message):
         with pytest.raises(ValueError, match=message):

@@ -3,13 +3,15 @@ per-state results, broadcasts over several leading axes, rejects non-finite
 input by the index of the state, and the sampler's stream does not depend on
 how it is split into blocks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from uwitness import checks
 from uwitness.cli import SCATTER_BLOCK, main
-from uwitness.collective import (moment_cycle, moment_via_observable, moments_collective,
-                                 outcome_probabilities)
+from uwitness.collective import (_TRACE_BLOCK, COPY_COUNTS, moment_cycle, moment_via_observable,
+                                 moments_collective, outcome_probabilities)
 from uwitness.invariants import (apply_local_unitary, decompose, makhlin, moments_from_invariants,
                                  moments_via_invariants, reconstruct)
 from uwitness.linalg import hermitian_eig, partial_transpose
@@ -79,6 +81,30 @@ def test_stack_equals_per_state(name):
             close(a, b)
     else:
         close(stacked, single)
+
+
+@pytest.mark.parametrize("n", COPY_COUNTS)
+def test_collective_stack_across_gather_blocks(n):
+    # three full gather blocks and one state left over
+    stack = StateSampler("hs", 107).sample(3 * _TRACE_BLOCK + 1)
+    routes = [lambda r: outcome_probabilities(r, n).probabilities, lambda r: moment_cycle(r, n)]
+    if n >= 3:
+        routes.append(lambda r: moment_via_observable(r, n))
+    for fn in routes:
+        close(fn(stack), per_state(fn, stack))
+
+
+def test_outcome_table_memory_does_not_grow_with_the_stack():
+    # the gather is blocked, so 1000 states at n = 4 stay within a few MB
+    # (unblocked it would hold 1000 x 4 x 6 x 256 complex entries, 98 MB)
+    stack = StateSampler("hs", 108).sample(1000)
+    tracemalloc.start()
+    try:
+        outcome_probabilities(stack, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_single_state_results_are_python_scalars():

@@ -16,7 +16,7 @@ from uwitness import (
     moments_direct,
     outcome_probabilities,
 )
-from uwitness.checks import observable_spectrum, projection_count
+from uwitness.checks import spectra_and_count
 from uwitness.states import random_mixed_state, singlet
 
 
@@ -38,11 +38,12 @@ def main():
     show_state(singlet(), "singlet")
     show_state(random_mixed_state(np.random.default_rng(6)), "random mixed state (seed 6)")
 
+    s3, s4, count = spectra_and_count()
     print("\n=== why only seven projections ===")
     print(f"  n=2: one two-outcome parity per stage          -> 2 outcomes")
-    print(f"  n=3: squared layer sum has spectrum {observable_spectrum(3)} -> 2 outcomes")
-    print(f"  n=4: squared layer sum has spectrum {observable_spectrum(4)} -> 3 outcomes")
-    print(f"  total distinct projective outcomes: {projection_count()}")
+    print(f"  n=3: squared layer sum has spectrum {s3} -> 2 outcomes")
+    print(f"  n=4: squared layer sum has spectrum {s4} -> 3 outcomes")
+    print(f"  total distinct projective outcomes: {count}")
 
 
 if __name__ == "__main__":

@@ -12,8 +12,11 @@ arrays of its leading shape.
 
 The top level exports the runtime API that README's quickstart and the demos
 use.  Everything else is imported from its module: states and file I/O from
-uwitness.states, the paper's claims and the dense 4^n-dimensional oracle
-(projectors, spectra, nondemolition) from uwitness.checks.
+uwitness.states, the swap layers as basis permutations from
+uwitness.collective (layer_permutation), and the paper's claims (projectors,
+spectra, nondemolition, stated on those permutations) from uwitness.checks.
+The dense 4^n-dimensional reference operators live in the test suite,
+tests/test_collective.py.
 """
 
 from .states import StateSampler, named_state

@@ -1,32 +1,35 @@
-"""The paper's checkable claims, one function each, and the dense oracle
-they are about.
+"""The paper's checkable claims, one function each.
 
 `uwitness --command verify` and tests/test_acceptance.py both run these; the
 callers choose the states, seeds and thresholds.  A check takes a (..., 4, 4)
 stack of states, plus an rng and a rotation count where the claim needs
 them, passes the whole stack to each layer in one call, and returns its
-worst deviation over the stack.  Only nondemolition, whose oracle is a dense
-4^n-dimensional matrix per state, loops over the states.
+worst deviation over the stack.  Only nondemolition, which compares dense
+4^n-dimensional copy stacks, loops over the states.
 
-The oracle is the dense 4^n-dimensional form of the collective measurement:
-swap_layer, parity_projector (composed pair by pair, in the order of
-collective._LAYER_PAIRS, from two-qubit swap projectors), moment_observable,
-symmetrized_copies and their building blocks swap_qubits and tensor_power.
-It lives here because projector algebra, the {1, 4} and {0, 2, 4} spectra,
-the seven projections and nondemolition are claims about those operators.
-The runtime routes (collective, witness, invariants, simulate) never import
-this module; the test suite checks the permutation traces of
-uwitness.collective against the oracle.
+The operator claims (projector composition, the {1, 4} and {0, 2, 4}
+spectra with the seven projections, nondemolition) are about the two swap
+layers, and are stated on their basis permutations from
+collective.layer_permutation, the one definition of a layer: a layer L acts
+as L @ X = X[perm] and X @ L = X[:, perm].  Their premise, that each layer
+squares to the identity, is checked exactly on the index arrays.  No
+4^n-dimensional operator is multiplied or diagonalized here; the one dense
+4^n-dimensional matrix is the copy stack rho^(x)n (tensor_power).  The dense
+reference operators live in tests/test_collective.py (permutation_matrix),
+which checks these claims and the traces of uwitness.collective against
+them.  The runtime routes never import this module.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+import math
+from collections import Counter
+from functools import reduce
 
 import numpy as np
 
-from .collective import (_LAYER_PAIRS, COPY_COUNTS, _check_n, _qubit, moment_cycle,
-                         moment_via_observable, outcome_probabilities)
+from .collective import (_LAYER_PAIRS, COPY_COUNTS, _swap_permutation, layer_permutation,
+                         moment_cycle, moment_via_observable, outcome_probabilities)
 from .invariants import apply_local_unitary, decompose, makhlin, moments_via_invariants
 from .linalg import hermitian_eig, partial_transpose
 from .states import haar_unitary
@@ -42,9 +45,6 @@ def _worst(x) -> float:
     return float(np.max(x))
 
 
-# ---- the dense oracle -------------------------------------------------------
-
-
 def tensor_power(m: np.ndarray, n: int) -> np.ndarray:
     """n-fold tensor power of a matrix, left factor most significant."""
     if n < 1:
@@ -52,126 +52,34 @@ def tensor_power(m: np.ndarray, n: int) -> np.ndarray:
     return reduce(np.kron, [m] * n)
 
 
-def swap_qubits(n_qubits: int, i: int, j: int) -> np.ndarray:
-    """Permutation matrix exchanging qubits i and j of an n_qubits register.
+def _layers(n: int) -> tuple:
+    """(L1, L2) on n copies as basis permutations, after checking the
+    premise of every operator claim: each layer squares to the identity."""
+    layers = layer_permutation(n, 1), layer_permutation(n, 2)
+    for stage, perm in enumerate(layers, 1):
+        if not np.array_equal(perm[perm], np.arange(len(perm))):
+            raise ValueError(f"the stage-{stage} layer on {n} copies does not square to the identity")
+    return layers
 
-    Built by exchanging two bit axes of the identity's row index (axis 0 is
-    qubit 0, the most significant bit), so the result is exact (entries 0
-    and 1 only).
+
+def _cycle_spectrum(n: int) -> dict:
+    """Eigenvalues of (L1 + L2)^2 on n copies, rounded at 1e-8, ascending,
+    with their multiplicities.
+
+    With L1^2 = L2^2 = I, (L1 + L2)^2 = 2I + C + C^-1 for the permutation
+    C = L1 L2, so each l-cycle of C contributes 2 + 2 cos(2 pi j / l) for
+    j = 0, ..., l - 1.
     """
-    if not (0 <= i < n_qubits and 0 <= j < n_qubits):
-        raise IndexError(f"qubit index out of range 0..{n_qubits - 1}: ({i}, {j})")
-    if i == j:
-        raise ValueError("swap needs two distinct qubits")
-    dim = 2 ** n_qubits
-    return np.eye(dim).reshape((2,) * n_qubits + (dim,)).swapaxes(i, j).reshape(dim, dim)
-
-
-def _check_stage(stage: int):
-    if stage not in (1, 2):
-        raise ValueError(f"stage must be 1 or 2, got {stage}")
-
-
-def _frozen(m: np.ndarray) -> np.ndarray:
-    m.setflags(write=False)
-    return m
-
-
-def _pair_swap(n: int, side: str, i: int, j: int) -> np.ndarray:
-    """Swap of the side qubits of copies i and j in the n-copy register."""
-    return swap_qubits(2 * n, _qubit(side, i), _qubit(side, j))
-
-
-@lru_cache(maxsize=None)
-def swap_layer(n: int, stage: int) -> np.ndarray:
-    """Product of the pairwise swaps of one measurement stage on n copies.
-
-    The factors act on disjoint qubits, so the result is a Hermitian
-    permutation matrix squaring to the identity.
-    """
-    _check_n(n)
-    _check_stage(stage)
-    return _frozen(reduce(np.matmul, (_pair_swap(n, *pair) for pair in _LAYER_PAIRS[(n, stage)])))
-
-
-@lru_cache(maxsize=None)
-def layer_permutation(n: int, stage: int) -> np.ndarray:
-    """swap_layer(n, stage) as an index array perm: the layer L is a
-    symmetric permutation matrix, so L @ X = X[perm] and X @ L = X[:, perm]
-    exactly, at the cost of a gather instead of a 4^n-dimensional product."""
-    return _frozen(swap_layer(n, stage).argmax(axis=1))
-
-
-def _pair_projector(n: int, side: str, i: int, j: int, sign: int) -> np.ndarray:
-    """(I + sign * S)/2 for the swap S of one qubit pair (side qubits of copies i, j)."""
-    return (np.eye(4 ** n) + sign * _pair_swap(n, side, i, j)) / 2.0
-
-
-@lru_cache(maxsize=None)
-def _stage_projectors(n: int, stage: int) -> tuple:
-    """(even, odd) parity projectors of a stage's swap layer, composed from
-    two-qubit swap projectors P+/- pair by pair in _LAYER_PAIRS order.  The
-    pairs act on disjoint qubits, so a new pair keeps the parity exactly when
-    its own is even: even, odd = even P+ + odd P-, even P- + odd P+."""
-    (side, i, j), *rest = _LAYER_PAIRS[(n, stage)]
-    even, odd = (_pair_projector(n, side, i, j, sign) for sign in (1, -1))
-    for side, i, j in rest:
-        plus, minus = (_pair_projector(n, side, i, j, sign) for sign in (1, -1))
-        even, odd = even @ plus + odd @ minus, even @ minus + odd @ plus
-    return _frozen(even), _frozen(odd)
-
-
-def parity_projector(n: int, stage: int, sign: int) -> np.ndarray:
-    """Projector onto the +/-1 eigenspace of a stage's swap layer.
-
-    Composed pair by pair from two-qubit swap projectors (the operationally
-    measurable pieces), not from (I + sign * layer)/2 -- the two agree
-    exactly, which projector_composition asserts.
-    """
-    _check_n(n)
-    _check_stage(stage)
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return _stage_projectors(n, stage)[0 if sign == 1 else 1]
-
-
-@lru_cache(maxsize=None)
-def moment_observable(n: int) -> np.ndarray:
-    """(stage1 + stage2)^2; its expectation on rho^(x)n is 2 (moment + 1).
-
-    The square has a handful of distinct eigenvalues ({1, 4} for n=3,
-    {0, 2, 4} for n=4), so the moment is measurable by a few projections
-    instead of full tomography.
-    """
-    _check_n(n)
-    s = swap_layer(n, 1) + swap_layer(n, 2)
-    return _frozen(s @ s)
-
-
-def observable_spectrum(n: int) -> tuple:
-    """Distinct eigenvalues of moment_observable(n), rounded at 1e-8, ascending."""
-    eigs = hermitian_eig(moment_observable(n))
-    # a set, not np.unique, whose first call imports numpy.ma; + 0.0 turns a
-    # rounded -0.0 into 0.0
-    return tuple(sorted({v + 0.0 for v in np.round(eigs, 8).tolist()}))
-
-
-def projection_count() -> int:
-    """Projective outcomes needed for all three moments (see spectra_and_count)."""
-    return spectra_and_count()[2]
-
-
-def symmetrized_copies(rho: np.ndarray, n: int) -> np.ndarray:
-    """(rho^(x)n + L rho^(x)n L)/2 for the stage-1 layer L.
-
-    Commutes with the stage-1 layer, so the first parity measurement is
-    nondemolition on it: projecting the symmetrized state equals projecting
-    the raw copy stack.
-    """
-    _check_n(n)
-    rn = tensor_power(np.asarray(rho, dtype=complex), n)
-    perm = layer_permutation(n, 1)
-    return 0.5 * (rn + rn[perm][:, perm])
+    l1, l2 = _layers(n)
+    c = l2[l1].tolist()  # C @ X = X[c]
+    seen, spectrum = set(), Counter()
+    for start in range(len(c)):
+        k, length = start, 0
+        while k not in seen:
+            seen.add(k)
+            k, length = c[k], length + 1
+        spectrum.update(round(2.0 + 2.0 * math.cos(2.0 * math.pi * j / length), 8) for j in range(length))
+    return dict(sorted(spectrum.items()))
 
 
 # ---- the claims -------------------------------------------------------------
@@ -194,44 +102,60 @@ def moment_routes(batch) -> float:
 
 
 def projector_composition() -> float:
-    """max |P - (I +/- L)/2| over the pairwise-composed parity projectors P of
-    both stages on 2-4 copies, L being the stage's swap layer."""
+    """max |P - (I +/- L)/2| over the parity projectors P of both stages on
+    2-4 copies, L being the stage's layer.
+
+    P is composed pair by pair from the two-qubit swap projectors
+    (I +/- S)/2, the operationally measurable pieces, in _LAYER_PAIRS order.
+    The pairs act on disjoint qubits, so a new pair keeps the parity exactly
+    when its own is even: even, odd = even P+ + odd P-, even P- + odd P+,
+    where X (I +/- S)/2 = (X +/- X[:, s])/2 is a column gather.  Every entry
+    is a multiple of 1/8, so the two forms agree exactly.
+    """
     dev = 0.0
     for n in COPY_COUNTS:
-        for stage in (1, 2):
-            layer = swap_layer(n, stage)
-            eye = np.eye(layer.shape[0])
-            for sign in (1, -1):
-                proj = parity_projector(n, stage, sign)
-                dev = max(dev, np.abs(proj - (eye + sign * layer) / 2.0).max())
+        eye = np.eye(4 ** n)
+        for stage, layer in enumerate(_layers(n), 1):
+            even, odd = eye, np.zeros_like(eye)
+            for pair in _LAYER_PAIRS[(n, stage)]:
+                s = _swap_permutation(n, (pair,))
+                even, odd = ((even + even[:, s]) / 2 + (odd - odd[:, s]) / 2,
+                             (even - even[:, s]) / 2 + (odd + odd[:, s]) / 2)
+            for sign, proj in ((1, even), (-1, odd)):
+                dev = max(dev, np.abs(proj - (eye + sign * eye[:, layer]) / 2).max())
     return dev
 
 
 def spectra_and_count() -> tuple:
-    """(spectrum of the n=3 observable, spectrum of the n=4 observable, number
-    of projections for all three moments: 2 (n=2) plus one per distinct
-    eigenvalue); the paper has ((1, 4), (0, 2, 4), 7)."""
-    s3, s4 = observable_spectrum(3), observable_spectrum(4)
+    """(spectrum of (L1 + L2)^2 on 3 copies, the same on 4 copies, number of
+    projections for all three moments: 2 (n=2) plus one per distinct
+    eigenvalue); the paper has ((1, 4), (0, 2, 4), 7).  The spectra are read
+    off the cycles of L1 L2 (_cycle_spectrum)."""
+    s3, s4 = tuple(_cycle_spectrum(3)), tuple(_cycle_spectrum(4))
     return s3, s4, 2 + len(s3) + len(s4)
 
 
 def nondemolition(batch) -> float:
     """Stage-1 parity is nondemolition on 2-4 copies: the symmetrized copy
-    stack commutes with the stage-1 swap layer, and each stage-1 projector P
-    gives P (rho_sym - rho^(x)n) P = 0.  Returns the larger residual.  The
-    layer L is applied as its index permutation (L X - X L = X[perm] -
-    X[:, perm]); the composed projectors are the claim and stay dense, two
-    4^n-dimensional products per projector."""
+    stack sym = (R + L R L)/2 of R = rho^(x)n commutes with the stage-1 layer
+    L, and each stage-1 projector P = (I +/- L)/2 gives P (sym - R) P = 0.
+    Returns the larger residual.
+
+    L acts as its basis permutation p (L X = X[p], X L = X[:, p]), so
+    P X P = (Y +/- Y[:, p])/2 with Y = (X +/- X[p])/2: two gathers that add
+    the same two terms per entry as the dense product does.  Only R is dense.
+    """
     dev = 0.0
     for n in COPY_COUNTS:
-        perm = layer_permutation(n, 1)
-        projectors = [parity_projector(n, 1, sign) for sign in (1, -1)]
+        p, _ = _layers(n)
         for rho in np.reshape(batch, (-1, 4, 4)):
-            sym = symmetrized_copies(rho, n)
-            dev = max(dev, np.abs(sym[perm] - sym[:, perm]).max())
-            diff = sym - tensor_power(rho, n)
-            for proj in projectors:
-                dev = max(dev, np.abs(proj @ diff @ proj).max())
+            rn = tensor_power(np.asarray(rho, dtype=complex), n)
+            sym = 0.5 * (rn + rn[p][:, p])
+            dev = max(dev, np.abs(sym[p] - sym[:, p]).max())
+            diff = sym - rn
+            for sign in (1, -1):
+                half = (diff + sign * diff[p]) / 2
+                dev = max(dev, np.abs((half + sign * half[:, p]) / 2).max())
     return dev
 
 

@@ -12,9 +12,12 @@ runs too.  Suite -> acceptance criterion: moment routes -> 3, projector
 composition -> none (verify only), spectra and projection count -> 4,
 stage-1 nondemolition -> 6, invariant route and local-unitary drift -> 5,
 witness = det -> 2, bound corridor -> 1 (through checks.in_corridor, which
-scatter applies to every row).  Only verify's projector, spectrum and
-nondemolition suites build the dense 4^n-dimensional oracle of checks;
-report, scatter and simulate run on the permutation traces alone.
+scatter applies to every row).  verify's projector, spectrum and
+nondemolition suites state their claims on the basis permutations of the
+swap layers (collective.layer_permutation); none multiplies or diagonalizes a
+4^n-dimensional operator, and the dense reference operators live in
+tests/test_collective.py.  report, scatter and simulate run on the
+permutation traces alone.
 
 simulate gives each of n = 2, 3, 4 a third of --shots (the remainder goes to
 n = 4, then n = 3) and takes simulate.DEFAULT_RESAMPLES (1000) bootstrap

@@ -32,10 +32,13 @@ with t(I) = (tr rho)^n = 1 for a state; (t(I) + y t(L1))/2 is the stage-1
 probability of outcome y.  The cycle route is t(L1 L2) and the
 squared-sum route uses (L1 + L2)^2 = 2I + L1 L2 + L2 L1.
 
-Since tr[pi R] = sum_src R[src, pi(src)] and R = rho^(x)n factorizes over
-the copies, t(pi) is a sum over the 4^n basis states of a product of n
-entries of rho, one per copy.  Which entry copy k contributes to basis state
-src depends on pi alone, so the layer products (words) a route needs are
+Each layer is defined once, as a permutation of the 4^n basis states
+(layer_permutation, built from the swap pairs above); the engine here and
+the operator claims of uwitness.checks both read it.  Since
+tr[pi R] = sum_src R[src, pi(src)] and R = rho^(x)n factorizes over the
+copies, t(pi) is a sum over the 4^n basis states of a product of n entries
+of rho, one per copy.  Which entry copy k contributes to basis state src
+depends on pi alone, so the layer products (words) a route needs are
 compiled once per (n, words) into a cached gather table (_trace_indices).  A
 call gathers every factor of every word in one step and reduces them with
 one einsum, which multiplies the n copies and sums over the basis states:
@@ -45,10 +48,10 @@ stack.  No 4^n-dimensional operator is built here.  Every route takes rho of
 shape (..., 4, 4) and broadcasts over the leading axes; one state gives
 Python floats.
 
-The dense operators (swap layers, parity projectors, the squared-sum
-observable, the symmetrized copy stack) live in uwitness.checks, the module
-whose claims are about them; the test suite checks every trace here against
-them.  Nothing in this module imports them.
+The dense 4^n-dimensional operators (swap layers, parity projectors, the
+squared-sum observable) exist only as the test suite's reference,
+permutation_matrix in tests/test_collective.py, which checks every layer
+and trace here against them.
 """
 
 from __future__ import annotations
@@ -88,6 +91,34 @@ def _qubit(side: str, copy: int) -> int:
     return 2 * (copy - 1) + (side == "b")
 
 
+@lru_cache(maxsize=None)
+def _swap_permutation(n: int, pairs: tuple) -> np.ndarray:
+    """The swaps `pairs`, each (side, copy, copy) on disjoint qubits, as the
+    permutation perm of the 4^n basis states of n copies; cached and
+    read-only.
+
+    perm[src] is src with the bits of each swapped qubit pair exchanged.  The
+    swaps are symmetric permutation matrices S, so S @ X = X[perm] and
+    X @ S = X[:, perm] exactly, at the cost of a gather instead of a
+    4^n-dimensional product.
+    """
+    shift = np.arange(2 * n - 1, -1, -1)  # bit position of qubit q, qubit 0 most significant
+    source = list(range(2 * n))
+    for side, i, j in pairs:
+        qi, qj = _qubit(side, i), _qubit(side, j)
+        source[qi], source[qj] = source[qj], source[qi]
+    # qubit q of perm[src] holds qubit source[q] of src
+    perm = ((np.arange(4**n)[:, None] >> shift[source]) & 1) @ (1 << shift)
+    perm.setflags(write=False)
+    return perm
+
+
+def layer_permutation(n: int, stage: int) -> np.ndarray:
+    """The stage-1 or stage-2 swap layer on n copies as a basis permutation
+    (see _swap_permutation): the one definition of a layer."""
+    return _swap_permutation(n, _LAYER_PAIRS[(n, stage)])
+
+
 # states of a stack gathered at once: the gather holds 16 x n x words x 4^n
 # complex entries (1.5 MB for the six table words at n = 4) whatever the
 # size of the stack
@@ -103,28 +134,23 @@ def _trace_indices(n: int, words: tuple) -> np.ndarray:
     word w naming the layer product pi_w = layer(w[0]) @ layer(w[1]) @ ...;
     cached and read-only.
 
-    pi maps basis state `src` to the state whose qubit q holds bit
-    source[q] of `src`, so tr[pi rho^(x)n] = sum_src prod_k rho[row_k, col_k]:
-    the row bits of copy k are the bits of its qubits a_k, b_k in `src`, and
-    its column bits those of qubits source[a_k], source[b_k].  idx[k, w, src]
-    is the index of that entry in rho.reshape(16).  A trace is at most 4^4 =
-    256 products of n factors, so an einsum call per trace spent more on
-    parsing and set-up than on arithmetic; with this table a route gathers
-    the factors of all its words at once and pays for one einsum.
+    pi_w acts on the basis as p = l[w[0]][l[w[1]]][...], l[stage] being
+    layer_permutation(n, stage), and tr[pi rho^(x)n] = sum_src R[src, p[src]]
+    with R = rho^(x)n, a product over the copies of rho[d_k(src), d_k(p[src])],
+    d_k being the base-4 digit of copy k (the bits of its qubits a_k, b_k).
+    idx[k, w, src] is the index of that entry in rho.reshape(16).  A trace
+    is at most 4^4 = 256 products of n factors, so an einsum call per trace
+    spent more on parsing and set-up than on arithmetic; with this table a
+    route gathers the factors of all its words at once and pays for one
+    einsum.
     """
-    bits = (np.arange(4**n) >> np.arange(2 * n - 1, -1, -1)[:, None]) & 1  # bits[q]: qubit q of src
+    digits = (np.arange(4**n) >> 2 * np.arange(n - 1, -1, -1)[:, None]) & 3  # digits[k, src]
     idx = np.empty((n, len(words), 4**n), dtype=np.intp)
     for w, stages in enumerate(words):
-        source = list(range(2 * n))
+        p = np.arange(4**n)
         for stage in stages:
-            swap = list(range(2 * n))
-            for side, i, j in _LAYER_PAIRS[(n, stage)]:
-                qi, qj = _qubit(side, i), _qubit(side, j)
-                swap[qi], swap[qj] = qj, qi
-            source = [swap[q] for q in source]
-        for k in range(n):
-            a, b = _qubit("a", k + 1), _qubit("b", k + 1)
-            idx[k, w] = 8 * bits[a] + 4 * bits[b] + 2 * bits[source[a]] + bits[source[b]]
+            p = p[layer_permutation(n, stage)]
+        idx[:, w] = 4 * digits + digits[:, p]
     idx.setflags(write=False)
     return idx
 

@@ -45,11 +45,6 @@ def decompose(rho: np.ndarray) -> np.ndarray:
     return np.einsum("iac,jbd,...cdab->...ij", PAULI, PAULI, r).real
 
 
-def reconstruct(t: np.ndarray) -> np.ndarray:
-    """Rebuild the density matrix, (1/4) sum_ij t_ij sigma_i x sigma_j."""
-    return np.einsum("...ij,iac,jbd->...abcd", t, PAULI, PAULI).reshape(*t.shape[:-2], 4, 4) / 4.0
-
-
 @dataclass(frozen=True)
 class MakhlinInvariants:
     """Local-unitary invariants of a two-qubit state, in Makhlin's numbering

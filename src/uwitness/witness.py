@@ -118,8 +118,9 @@ def concurrence(rho: np.ndarray):
     sqrt(rho) S sqrt(rho)*, since S is real.  Eigenvalues of rho at or below
     4 eps times the largest count as 0, so C is accurate to ~1e-15 even on
     rank-deficient states, pure or mixed, where a non-Hermitian eigensolve
-    loses half the digits on the degenerate zeros.  concurrence_spinflip_eigs
-    is that brute-force route and the tests keep the two in agreement.
+    loses half the digits on the degenerate zeros.  That brute-force route
+    is test code, concurrence_spinflip_eigs in tests/test_witness.py, which
+    keeps the two in agreement.
     """
     lam = _wootters_lambdas(_require_finite(rho))
     return _positive_part(2.0 * lam.max(axis=-1) - lam.sum(axis=-1))
@@ -132,19 +133,6 @@ def _wootters_lambdas(rho: np.ndarray) -> np.ndarray:
     d[d <= _ZERO_EIGENVALUE_RTOL * d[..., -1:]] = 0.0
     a = v * np.sqrt(d)[..., None, :]
     return np.linalg.svd(a.swapaxes(-1, -2) @ _SPIN_FLIP @ a, compute_uv=False)
-
-
-def concurrence_spinflip_eigs(rho: np.ndarray) -> np.ndarray:
-    """lam_j by direct (non-Hermitian) diagonalization of rho S rho* S,
-    descending along the last axis.
-
-    Cross-check for concurrence; carries sqrt(eps)-level noise on degenerate
-    zero eigenvalues, so comparisons should allow ~1e-7.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    m = rho @ _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
-    lam = np.sqrt(np.clip(np.linalg.eigvals(m).real, 0.0, None))
-    return np.sort(lam, axis=-1)[..., ::-1]
 
 
 def _check_w(w):

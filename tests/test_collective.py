@@ -1,4 +1,5 @@
-from functools import reduce
+from collections import Counter
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
@@ -8,27 +9,20 @@ import uwitness.collective
 import uwitness.invariants
 import uwitness.simulate
 import uwitness.witness
-from uwitness.checks import (
-    moment_observable,
-    observable_spectrum,
-    parity_projector,
-    projection_count,
-    swap_layer,
-    symmetrized_copies,
-    tensor_power,
-)
 from uwitness.collective import (
     _TABLE_WORDS,
     COPY_COUNTS,
     OutcomeTable,
     _permutation_traces,
+    _swap_permutation,
+    _trace_indices,
+    layer_permutation,
     moment_cycle,
     moment_via_observable,
     moments_collective,
     outcome_probabilities,
 )
 from uwitness.linalg import hermitian_eig, partial_transpose
-from uwitness.simulate import sample_shots
 from uwitness.states import phi_plus, random_mixed_state, random_pure_state, singlet, werner
 from uwitness.witness import moments_direct
 
@@ -61,6 +55,28 @@ def permutation_matrix(n, pairs):
     return m
 
 
+@lru_cache(maxsize=None)
+def swap_layer(n, stage):
+    """Dense layer of one stage, from the independent construction."""
+    return permutation_matrix(n, LAYER_PAIRS[(n, stage)])
+
+
+def parity_projector(n, stage, sign):
+    """(I + sign * layer)/2, the projector onto a layer's +/-1 eigenspace."""
+    return (np.eye(4**n) + sign * swap_layer(n, stage)) / 2.0
+
+
+def moment_observable(n):
+    """(stage1 + stage2)^2; its expectation on rho^(x)n is 2 (moment + 1)."""
+    s = swap_layer(n, 1) + swap_layer(n, 2)
+    return s @ s
+
+
+def kron_power(m, n):
+    """m^(x)n by repeated np.kron, left factor most significant."""
+    return reduce(np.kron, [m] * n)
+
+
 def spectral_moments(rho):
     eigs = hermitian_eig(partial_transpose(rho))
     return tuple(float(np.sum(eigs**n)) for n in COPY_COUNTS)
@@ -68,8 +84,24 @@ def spectral_moments(rho):
 
 class TestLayers:
     def test_layers_match_independent_construction(self):
+        # L @ X = X[perm], so the rows of I taken in perm order are L
         for (n, stage), pairs in LAYER_PAIRS.items():
-            assert np.array_equal(swap_layer(n, stage), permutation_matrix(n, pairs)), (n, stage)
+            perm = layer_permutation(n, stage)
+            assert not perm.flags.writeable
+            assert np.array_equal(np.eye(4**n)[perm], permutation_matrix(n, pairs)), (n, stage)
+
+    def test_pair_swaps_are_hermitian_involutions(self):
+        # every single swap the projector composition uses, against the dense construction
+        for n in (3, 4):
+            for side in ("a", "b"):
+                for i in range(1, n + 1):
+                    for j in range(i + 1, n + 1):
+                        perm = _swap_permutation(n, ((side, i, j),))
+                        assert np.array_equal(perm[perm], np.arange(4**n))
+                        s = np.eye(4**n)[perm]
+                        assert np.array_equal(s, permutation_matrix(n, [(side, i, j)]))
+                        assert np.array_equal(s, s.T)
+                        assert np.array_equal(s @ s, np.eye(4**n))
 
     def test_layers_are_hermitian_involutions(self):
         for n in COPY_COUNTS:
@@ -95,22 +127,33 @@ class TestLayers:
             assert np.array_equal(power @ cyc, np.eye(cyc.shape[0]))
 
     def test_bad_arguments_rejected(self):
+        # a copy count without layers is rejected by the routes that read them
         with pytest.raises(ValueError):
-            swap_layer(5, 1)
+            outcome_probabilities(MAX_MIXED, 5)
         with pytest.raises(ValueError):
-            swap_layer(2, 3)
+            moment_cycle(MAX_MIXED, 1)
+
+
+def pair_projector(n, pair, sign):
+    """(I + sign * S)/2 for the swap S of one (side, copy, copy) pair."""
+    return (np.eye(4**n) + sign * permutation_matrix(n, [pair])) / 2.0
 
 
 class TestParityProjectors:
     def test_composition_equals_eigenspace_projector(self):
         # the pairwise-composed projectors must equal (I + sign*layer)/2; the
         # algebra is exact, so no tolerance is needed
+        assert checks_module.projector_composition() == 0.0
         for n in COPY_COUNTS:
             for stage in (1, 2):
                 layer = swap_layer(n, stage)
                 eye = np.eye(layer.shape[0])
-                for sign in (1, -1):
-                    composed = parity_projector(n, stage, sign)
+                first, *rest = LAYER_PAIRS[(n, stage)]
+                even, odd = pair_projector(n, first, 1), pair_projector(n, first, -1)
+                for pair in rest:
+                    plus, minus = pair_projector(n, pair, 1), pair_projector(n, pair, -1)
+                    even, odd = even @ plus + odd @ minus, even @ minus + odd @ plus
+                for sign, composed in ((1, even), (-1, odd)):
                     assert np.abs(composed - (eye + sign * layer) / 2.0).max() == 0.0
 
     def test_projector_algebra(self):
@@ -122,10 +165,6 @@ class TestParityProjectors:
                 assert np.abs(plus @ minus).max() < 1e-14
                 assert np.abs(plus @ plus - plus).max() < 1e-14
                 assert np.abs(plus + minus - eye).max() == 0.0
-
-    def test_sign_validation(self):
-        with pytest.raises(ValueError):
-            parity_projector(2, 1, 0)
 
 
 class TestMomentRoutes:
@@ -149,7 +188,7 @@ class TestMomentRoutes:
         for _ in range(10):
             rho = random_mixed_state(rng)
             for n in COPY_COUNTS:
-                rn = tensor_power(rho, n)
+                rn = kron_power(rho, n)
                 ab = np.trace(swap_layer(n, 1) @ swap_layer(n, 2) @ rn).real
                 ba = np.trace(swap_layer(n, 2) @ swap_layer(n, 1) @ rn).real
                 assert abs(ab - ba) < 1e-12
@@ -172,11 +211,36 @@ class TestMomentRoutes:
 
 class TestObservable:
     def test_spectra(self):
-        assert observable_spectrum(3) == (1.0, 4.0)
-        assert observable_spectrum(4) == (0.0, 2.0, 4.0)
+        s3, s4, _ = checks_module.spectra_and_count()
+        assert s3 == (1.0, 4.0)
+        assert s4 == (0.0, 2.0, 4.0)
 
     def test_projection_count_totals_seven(self):
-        assert projection_count() == 7
+        assert checks_module.spectra_and_count()[2] == 7
+
+    def test_spectra_and_multiplicities_match_dense_eigensolve(self):
+        # the cycle spectrum against the eigenvalues of the dense (L1 + L2)^2
+        spectra = checks_module.spectra_and_count()
+        for n, distinct in zip((3, 4), spectra):
+            eigs = np.linalg.eigvalsh(moment_observable(n))
+            dense = Counter(v + 0.0 for v in np.round(eigs, 8).tolist())
+            assert checks_module._cycle_spectrum(n) == dict(dense)
+            assert distinct == tuple(sorted(dense))
+        assert checks_module._cycle_spectrum(3) == {1.0: 40, 4.0: 24}
+        assert checks_module._cycle_spectrum(4) == {0.0: 66, 2.0: 120, 4.0: 70}
+
+    def test_a_layer_that_is_not_an_involution_fails_the_claims(self, monkeypatch):
+        real = layer_permutation
+
+        def broken(n, stage):
+            # every entry moved one place along: no longer squares to the identity
+            return np.roll(real(n, stage), 1) if (n, stage) == (3, 1) else real(n, stage)
+
+        monkeypatch.setattr(checks_module, "layer_permutation", broken)
+        for claim in (checks_module.spectra_and_count, checks_module.projector_composition,
+                      lambda: checks_module.nondemolition(MAX_MIXED)):
+            with pytest.raises(ValueError, match="stage-1 layer on 3 copies does not square"):
+                claim()
 
     def test_observable_is_shifted_cycle_sum(self):
         # (L1 + L2)^2 = 2 I + L1 L2 + L2 L1
@@ -233,6 +297,13 @@ class TestSequentialProbabilities:
             table.probabilities[0, 0] = 1.0  # frozen storage
 
 
+def symmetrized_copies(rho, n):
+    """(rho^(x)n + L rho^(x)n L)/2 for the dense stage-1 layer L."""
+    rn = kron_power(np.asarray(rho, dtype=complex), n)
+    layer = swap_layer(n, 1)
+    return 0.5 * (rn + layer @ rn @ layer)
+
+
 class TestSymmetrizedCopies:
     def test_commutes_with_stage1_layer(self):
         rng = np.random.default_rng(38)
@@ -249,7 +320,7 @@ class TestSymmetrizedCopies:
             rho = random_mixed_state(rng)
             for n in (2, 3):
                 rp = symmetrized_copies(rho, n)
-                rn = tensor_power(rho, n)
+                rn = kron_power(rho, n)
                 for sign in (1, -1):
                     proj = parity_projector(n, 1, sign)
                     assert np.abs(proj @ rp @ proj - proj @ rn @ proj).max() < 1e-14
@@ -280,12 +351,13 @@ def oracle_states():
 
 
 class TestEngineAgainstDenseOracle:
-    """The permutation-trace engine against the dense 4^n-dimensional operators."""
+    """The permutation-trace engine against the dense 4^n-dimensional operators
+    of permutation_matrix."""
 
     def test_outcome_tables(self):
         for label, rho in oracle_states():
             for n in COPY_COUNTS:
-                rn = tensor_power(rho, n)
+                rn = kron_power(rho, n)
                 table = outcome_probabilities(rho, n).probabilities
                 for yi, y in enumerate((1, -1)):
                     p = parity_projector(n, 1, y)
@@ -297,7 +369,7 @@ class TestEngineAgainstDenseOracle:
     def test_cycle_and_observable_routes(self):
         for label, rho in oracle_states():
             for n in COPY_COUNTS:
-                rn = tensor_power(rho, n)
+                rn = kron_power(rho, n)
                 cycle = np.trace(swap_layer(n, 1) @ swap_layer(n, 2) @ rn).real
                 assert abs(moment_cycle(rho, n) - cycle) < 1e-12, (label, n)
                 if n >= 3:
@@ -312,16 +384,27 @@ class TestEngineAgainstDenseOracle:
             dense = [reduce(np.matmul, [swap_layer(n, stage) for stage in word], np.eye(4**n))
                      for word in _TABLE_WORDS]
             for label, rho in oracle_states():
-                rn = tensor_power(rho, n)
+                rn = kron_power(rho, n)
                 traces = _permutation_traces(rho, n, _TABLE_WORDS)
                 for word, op, trace in zip(_TABLE_WORDS, dense, traces):
                     assert abs(trace - np.trace(op @ rn).real) < 1e-12, (label, n, word)
+
+    def test_gather_tables_follow_the_dense_words(self):
+        # tr[W R] = sum_j R[j, q(j)], q(j) the row of the 1 in column j of W; the
+        # real traces cannot tell W from W^-1, so the tables are pinned entry by entry
+        for n in COPY_COUNTS:
+            digits = (np.arange(4**n) >> 2 * np.arange(n - 1, -1, -1)[:, None]) & 3  # base-4 digit of copy k
+            expected = np.empty((n, len(_TABLE_WORDS), 4**n), dtype=np.intp)
+            for w, word in enumerate(_TABLE_WORDS):
+                dense = reduce(np.matmul, [swap_layer(n, stage) for stage in word], np.eye(4**n))
+                expected[:, w] = 4 * digits + digits[:, dense.argmax(axis=0)]
+            assert np.array_equal(_trace_indices(n, _TABLE_WORDS), expected), n
 
     def test_unnormalized_input_matches_oracle(self):
         # t(I) = (tr rho)^n enters the table as it does the dense trace
         rho = 2.0 * werner(0.6)
         for n in COPY_COUNTS:
-            rn = tensor_power(rho, n)
+            rn = kron_power(rho, n)
             p, q = parity_projector(n, 1, 1), parity_projector(n, 2, 1)
             dense = np.trace(q @ p @ rn @ p @ q).real
             assert abs(outcome_probabilities(rho, n).probabilities[0, 0] - dense) < 1e-12
@@ -336,25 +419,11 @@ class TestEngineAgainstDenseOracle:
                 moment_via_observable(bad, 4)
 
     def test_runtime_routes_build_no_dense_operator(self):
-        # the runtime modules hold no reference to the oracle or to checks ...
-        oracle = {id(checks_module)} | {
+        # the runtime modules hold no reference to checks or to anything it defines
+        checks_objects = {id(checks_module)} | {
             id(obj) for obj in vars(checks_module).values()
             if callable(obj) and getattr(obj, "__module__", None) == checks_module.__name__
         }
         for module in (uwitness.collective, uwitness.witness, uwitness.invariants, uwitness.simulate):
-            leaks = [name for name, obj in vars(module).items() if id(obj) in oracle]
+            leaks = [name for name, obj in vars(module).items() if id(obj) in checks_objects]
             assert leaks == [], (module.__name__, leaks)
-        # ... and running them builds no dense operator
-        caches = (swap_layer, checks_module._stage_projectors, moment_observable,
-                  checks_module.layer_permutation)
-        for cache in caches:
-            cache.cache_clear()
-        rho = random_mixed_state(np.random.default_rng(42))
-        for n in COPY_COUNTS:
-            outcome_probabilities(rho, n)
-            moment_cycle(rho, n)
-            sample_shots(rho, n, 100, seed=n)
-        moments_collective(rho)
-        for n in (3, 4):
-            moment_via_observable(rho, n)
-        assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0, 0]

@@ -10,7 +10,6 @@ from uwitness.invariants import (
     makhlin,
     moments_from_invariants,
     moments_via_invariants,
-    reconstruct,
 )
 from uwitness.states import (
     haar_unitary,
@@ -24,6 +23,11 @@ from uwitness.states import (
 from uwitness.witness import moments_direct
 
 MAX_MIXED = np.eye(4) / 4
+
+
+def reconstruct(t: np.ndarray) -> np.ndarray:
+    """Rebuild the density matrix, (1/4) sum_ij t_ij sigma_i x sigma_j."""
+    return np.einsum("...ij,iac,jbd->...abcd", t, PAULI, PAULI).reshape(*t.shape[:-2], 4, 4) / 4.0
 
 INVARIANT_FIELDS = [f.name for f in dataclasses.fields(MakhlinInvariants)]
 

@@ -1,18 +1,10 @@
 import numpy as np
 import pytest
 
-from uwitness.checks import swap_qubits, tensor_power
+from uwitness.checks import tensor_power
 from uwitness.linalg import hermitian_eig, partial_transpose
 
-SWAP4 = np.array(
-    [
-        [1, 0, 0, 0],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 1],
-    ],
-    dtype=float,
-)
+from test_collective import permutation_matrix
 
 
 def random_state(rng):
@@ -63,30 +55,10 @@ def test_partial_transpose_rejects_bad_shape():
         partial_transpose(np.eye(3))
 
 
-def test_swap_qubits_two_qubit_matrix():
-    assert np.array_equal(swap_qubits(2, 0, 1), SWAP4)
-
-
-def test_swap_qubits_involution_and_hermitian():
-    for n_qubits in (6, 8):
-        for i in range(n_qubits):
-            for j in range(i + 1, n_qubits):
-                s = swap_qubits(n_qubits, i, j)
-                assert np.array_equal(s, s.T)
-                assert np.array_equal(s @ s, np.eye(2 ** n_qubits))
-
-
-def test_swap_qubits_bad_indices():
-    with pytest.raises(IndexError):
-        swap_qubits(4, 0, 4)
-    with pytest.raises(ValueError):
-        swap_qubits(4, 1, 1)
-
-
 def test_swap_expectation_equals_purity_of_reduction():
     # swap trick: tr[S_a1a2 (rho (x) rho)] = tr[(tr_b rho)^2]
     rng = np.random.default_rng(4)
-    s_a = swap_qubits(4, 0, 2)  # the a-side qubits of copies 1 and 2
+    s_a = permutation_matrix(2, [("a", 1, 2)])  # the a-side qubits of copies 1 and 2
     for _ in range(20):
         rho = random_state(rng)
         lhs = np.trace(s_a @ np.kron(rho, rho)).real

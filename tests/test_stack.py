@@ -13,12 +13,14 @@ from uwitness.cli import SCATTER_BLOCK, main
 from uwitness.collective import (_TRACE_BLOCK, COPY_COUNTS, moment_cycle, moment_via_observable,
                                  moments_collective, outcome_probabilities)
 from uwitness.invariants import (apply_local_unitary, decompose, makhlin, moments_from_invariants,
-                                 moments_via_invariants, reconstruct)
+                                 moments_via_invariants)
 from uwitness.linalg import hermitian_eig, partial_transpose
 from uwitness.states import StateSampler, haar_unitary, validate, werner
-from uwitness.witness import (bounds, concurrence, concurrence_spinflip_eigs, lower_bound,
-                              moments_direct, negativity, rescaled_witness, upper_bound,
-                              witness_report, witness_value)
+from uwitness.witness import (bounds, concurrence, lower_bound, moments_direct, negativity,
+                              rescaled_witness, upper_bound, witness_report, witness_value)
+
+from test_invariants import reconstruct
+from test_witness import concurrence_spinflip_eigs
 
 
 def mixed_stack():

@@ -17,7 +17,6 @@ from uwitness.witness import (
     MomentSet,
     bounds,
     concurrence,
-    concurrence_spinflip_eigs,
     lower_bound,
     moments_direct,
     negativity,
@@ -29,6 +28,22 @@ from uwitness.witness import (
 )
 
 MAX_MIXED = np.eye(4) / 4
+
+SIGMA2 = np.array([[0.0, -1j], [1j, 0.0]])
+SPIN_FLIP = np.kron(SIGMA2, SIGMA2)
+
+
+def concurrence_spinflip_eigs(rho: np.ndarray) -> np.ndarray:
+    """lam_j by direct (non-Hermitian) diagonalization of rho S rho* S,
+    descending along the last axis.
+
+    Cross-check for concurrence; carries sqrt(eps)-level noise on degenerate
+    zero eigenvalues, so comparisons should allow ~1e-7.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    m = rho @ SPIN_FLIP @ rho.conj() @ SPIN_FLIP
+    lam = np.sqrt(np.clip(np.linalg.eigvals(m).real, 0.0, None))
+    return np.sort(lam, axis=-1)[..., ::-1]
 
 
 def werner_moments(p):

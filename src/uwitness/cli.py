@@ -12,17 +12,14 @@ runs too.  Suite -> acceptance criterion: moment routes -> 3, projector
 composition -> none (verify only), spectra and projection count -> 4,
 stage-1 nondemolition -> 6, invariant route and local-unitary drift -> 5,
 witness = det -> 2, bound corridor -> 1 (through checks.in_corridor, which
-scatter applies to every row).  verify's projector, spectrum and
-nondemolition suites state their claims on the basis permutations of the
-swap layers (collective.layer_permutation); none multiplies or diagonalizes a
-4^n-dimensional operator, and the dense reference operators live in
-tests/test_collective.py.  report, scatter and simulate run on the
-permutation traces alone.
+scatter applies to every row).  verify's operator suites work on the basis
+permutations of the swap layers (see uwitness.checks); report, scatter and
+simulate run on the permutation traces alone.
 
-simulate gives each of n = 2, 3, 4 a third of --shots (the remainder goes to
-n = 4, then n = 3) and takes simulate.DEFAULT_RESAMPLES (1000) bootstrap
-resamples.  A weighted split is a library call: sample_shots per n with its
-own shot count, then estimate(records, resamples=...).
+--state is a name, a state by construction, or a JSON file that must pass
+states.validate (exit 1 otherwise).  simulate samples any such state: a third
+of --shots for each of n = 2, 3, 4 (the remainder to n = 4, then n = 3) and
+1000 bootstrap resamples; other splits and counts are library calls.
 
 Exit codes: 0 success, 1 a verification suite or state validation failed,
 2 usage or file I/O error.
@@ -164,11 +161,7 @@ def cmd_simulate(args) -> tuple:
         raise UsageError(f"shot budget {args.shots} starves a moment: n = 2, 3, 4 need a shot each")
 
     *record_seeds, bootstrap_seed = _derived_seeds(seed, len(COPY_COUNTS) + 1)
-    try:
-        records = [sample_shots(rho, n, alloc[k], record_seeds[k]) for k, n in enumerate(COPY_COUNTS)]
-    except ValueError as exc:
-        # validate allows eigenvalues down to -1e-9, below sample_shots' table tolerance
-        raise CheckFailure(f"state {label!r}: {exc}") from None
+    records = [sample_shots(rho, n, alloc[k], record_seeds[k]) for k, n in enumerate(COPY_COUNTS)]
     est = estimate(records, seed=bootstrap_seed)
     truth = witness_value(moments_direct(rho))
     doc = {

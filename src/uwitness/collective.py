@@ -80,9 +80,9 @@ _LAYER_PAIRS = {
 OUTCOME_SIGNS = (1, -1)
 
 
-def _check_n(n: int):
-    if n not in COPY_COUNTS:
-        raise ValueError(f"copy count must be one of {COPY_COUNTS}, got {n}")
+def _check_n(n: int, allowed: tuple = COPY_COUNTS):
+    if n not in allowed:
+        raise ValueError(f"copy count must be one of {allowed}, got {n}")
 
 
 def _qubit(side: str, copy: int) -> int:
@@ -116,6 +116,9 @@ def _swap_permutation(n: int, pairs: tuple) -> np.ndarray:
 def layer_permutation(n: int, stage: int) -> np.ndarray:
     """The stage-1 or stage-2 swap layer on n copies as a basis permutation
     (see _swap_permutation): the one definition of a layer."""
+    _check_n(n)
+    if stage not in (1, 2):
+        raise ValueError(f"stage must be one of (1, 2), got {stage}")
     return _swap_permutation(n, _LAYER_PAIRS[(n, stage)])
 
 
@@ -189,8 +192,7 @@ def moment_cycle(rho: np.ndarray, n: int) -> float:
 
 def moment_via_observable(rho: np.ndarray, n: int) -> float:
     """Moment as tr[(L1 + L2)^2 rho^(x)n] / 2 - 1 (n = 3 or 4 only)."""
-    if n not in (3, 4):
-        raise ValueError(f"the squared-sum route needs n in (3, 4), got {n}")
+    _check_n(n, (3, 4))
     # (L1 + L2)^2 = 2I + L1 L2 + L2 L1
     t_id, t12, t21 = _permutation_traces(rho, n, ((), (1, 2), (2, 1)))
     return 0.5 * (2.0 * t_id + t12 + t21) - 1.0

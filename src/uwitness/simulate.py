@@ -8,6 +8,8 @@ polynomial.  Its percentile bootstrap redraws each moment as
 (2k - N)/N with k ~ Binomial(N, (c++ + c--)/N): the moment depends on the
 even-parity count c++ + c-- alone, and that count is binomial under the
 multinomial resample.  Everything is deterministic under a fixed seed.
+Every state states.validate accepts is sampled: sample_shots allows a table
+entry down to -(3n + 1) POSITIVITY_ATOL and a sum (n + 1) TRACE_ATOL from 1.
 """
 
 from __future__ import annotations
@@ -17,13 +19,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .collective import COPY_COUNTS, outcome_probabilities
+from .states import POSITIVITY_ATOL, TRACE_ATOL
 from .witness import witness_polynomial
 
 DEFAULT_RESAMPLES = 1000
-# a table entry below -NEGATIVE_TOLERANCE, or a table sum further than
-# SUM_TOLERANCE from 1, means the input is not a normalised state
-NEGATIVE_TOLERANCE = 1e-12
-SUM_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -88,23 +87,20 @@ def sample_shots(rho: np.ndarray, n: int, shots: int, seed: int) -> ShotRecord:
     the exact law of the counts of ``shots`` independent outcomes, at a cost
     that does not grow with ``shots``.  Cells with probability zero can never
     fire.  Raises ValueError unless ``shots`` is a positive integer and the
-    table is a distribution: no entry below -1e-12 or NaN, sum within 1e-9
-    of 1.
+    table is one that a state validate accepts can give: no entry below
+    -(3n + 1) POSITIVITY_ATOL or NaN, a sum within (n + 1) TRACE_ATOL of 1.
     """
     _require_count("shots", shots)
     p = outcome_probabilities(rho, n).as_vector()
-    # each comparison is written so that a NaN fails it
-    if not p.min() >= -NEGATIVE_TOLERANCE:
-        raise ValueError(
-            f"outcome table for n = {n} has an entry {p.min():.3e}, "
-            f"below the tolerance -{NEGATIVE_TOLERANCE:.0e} or not a number: not a state"
-        )
-    total = float(p.sum())
-    if not abs(total - 1.0) <= SUM_TOLERANCE:
-        raise ValueError(
-            f"outcome table for n = {n} sums to {total!r}, {abs(total - 1.0):.3e} from 1, "
-            f"beyond the tolerance {SUM_TOLERANCE:.0e}: not a normalised state"
-        )
+    # An entry is tr[M rho^(x)n], 0 <= M <= I, so at least the sum of the negative
+    # eigenvalues of rho^(x)n: to first order n times that of rho, whose three lowest
+    # validate keeps above -POSITIVITY_ATOL.  The sum is (tr rho)^n, about n TRACE_ATOL
+    # from 1.  One atol more covers higher orders and rounding; a NaN fails the check.
+    floor, sum_atol = -(3 * n + 1) * POSITIVITY_ATOL, (n + 1) * TRACE_ATOL
+    low, total = p.min(), float(p.sum())
+    if not (low >= floor and abs(total - 1.0) <= sum_atol):
+        raise ValueError(f"outcome table for n = {n} is not a state's: lowest entry {low:.3e} "
+                         f"(floor {floor:.0e}), sum {abs(total - 1.0):.3e} from 1 (atol {sum_atol:.0e})")
     p = np.clip(p, 0.0, None)
     counts = np.random.default_rng(seed).multinomial(shots, p / p.sum())
     return ShotRecord(n_copies=n, shots=int(shots), counts=counts, seed=seed)

@@ -33,10 +33,15 @@ def validate(rho) -> np.ndarray:
         raise ValueError(f"expected a 4x4 matrix or a (..., 4, 4) stack, got shape {rho.shape}")
     _require_finite(rho)
     herm_dev = np.abs(rho - _dagger(rho)).max(axis=(-2, -1))
+    return _require_state(rho, np.linalg.eigvalsh(rho)[..., 0], herm_dev)
+
+
+def _require_state(rho, min_eig, herm_dev=None) -> np.ndarray:
+    """rho, or validate's ValueError naming the first matrix off the state rule;
+    Hermiticity is judged only where herm_dev is given."""
     trace_dev = np.abs(_trace(rho) - 1.0)
-    min_eig = np.linalg.eigvalsh(rho)[..., 0]
+    hermitian = np.full(trace_dev.shape, True) if herm_dev is None else herm_dev <= HERMITICITY_ATOL
     # the spectrum is judged only where the matrix is Hermitian
-    hermitian = herm_dev <= HERMITICITY_ATOL
     not_psd = hermitian & (min_eig < -POSITIVITY_ATOL)
     invalid = ~hermitian | (trace_dev > TRACE_ATOL) | not_psd
     if not np.count_nonzero(invalid):

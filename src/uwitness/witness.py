@@ -12,10 +12,10 @@ line w = C (C + 2)^3 / 27.
 
 Every function takes rho of shape (..., 4, 4), or w of any shape, and
 broadcasts over the leading axes; a single state gives Python floats and
-bools, a stack gives arrays of its leading shape.  negativity, concurrence
-and witness_report mean something only for a state, and raise ValueError
-naming the first state of the stack with a non-finite entry; the moments
-are polynomials and pass a NaN through.
+bools, a stack gives arrays of its leading shape.  negativity and
+concurrence raise ValueError naming the first state of the stack with a
+non-finite entry, and witness_report the first that validate would reject;
+the moments are polynomials and pass a NaN through.
 
 Error model: w carries about 1e-15 absolute error, whatever its size, since
 the moment polynomial cancels O(1) terms.  ENTANGLEMENT_ATOL = 1e-12 on the
@@ -32,6 +32,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .linalg import _positive_part, _require_finite, _result, _trace, hermitian_eig, partial_transpose
+from .states import _require_state
 
 # witness values within this band of zero are treated as "not detected"
 ENTANGLEMENT_ATOL = 1e-12
@@ -122,17 +123,16 @@ def concurrence(rho: np.ndarray):
     is test code, concurrence_spinflip_eigs in tests/test_witness.py, which
     keeps the two in agreement.
     """
-    lam = _wootters_lambdas(_require_finite(rho))
-    return _positive_part(2.0 * lam.max(axis=-1) - lam.sum(axis=-1))
+    return _concurrence(*np.linalg.eigh(_require_finite(rho)))
 
 
-def _wootters_lambdas(rho: np.ndarray) -> np.ndarray:
-    d, v = np.linalg.eigh(rho)
+def _concurrence(d, v):
     # eigh leaves a zero eigenvalue at a few eps of the largest, and its ~1e-9
-    # square root would enter every lam_j: such and negative eigenvalues are 0
+    # square root would enter every lam_j: such and negative ones are set to 0 in d
     d[d <= _ZERO_EIGENVALUE_RTOL * d[..., -1:]] = 0.0
     a = v * np.sqrt(d)[..., None, :]
-    return np.linalg.svd(a.swapaxes(-1, -2) @ _SPIN_FLIP @ a, compute_uv=False)
+    lam = np.linalg.svd(a.swapaxes(-1, -2) @ _SPIN_FLIP @ a, compute_uv=False)
+    return _positive_part(2.0 * lam.max(axis=-1) - lam.sum(axis=-1))
 
 
 def _check_w(w):
@@ -189,9 +189,13 @@ def bounds(w) -> tuple:
 
 def witness_report(rho: np.ndarray) -> WitnessReport:
     """Witness, rescaled value, exact measures, and the bound corridor for a
-    state, or for each state of a (..., 4, 4) stack (every field an array)."""
-    # the measures first: they reject non-finite input, which the moments pass
-    c, n = concurrence(rho), negativity(rho)
+    state, or for each state of a (..., 4, 4) stack (every field an array);
+    ValueError for any input that validate would reject."""
+    rho = np.asarray(rho, dtype=complex)
+    # negativity checks finiteness and Hermiticity, and concurrence's eigh the rest
+    n, (d, v) = negativity(rho), np.linalg.eigh(rho)
+    _require_state(rho, d[..., 0])  # before _concurrence zeroes d and a moment can overflow
+    c = _concurrence(d, v)
     value = witness_value(moments_direct(rho))
     # rescaled_witness already clamps w to [0, 1]: no second check
     w = rescaled_witness(value)

@@ -132,6 +132,13 @@ class TestLayers:
             outcome_probabilities(MAX_MIXED, 5)
         with pytest.raises(ValueError):
             moment_cycle(MAX_MIXED, 1)
+        with pytest.raises(ValueError, match=r"copy count must be one of \(3, 4\), got 2"):
+            moment_via_observable(MAX_MIXED, 2)
+        # layer_permutation names the allowed values instead of a bare KeyError
+        with pytest.raises(ValueError, match=r"stage must be one of \(1, 2\), got 3"):
+            layer_permutation(2, 3)
+        with pytest.raises(ValueError, match=r"copy count must be one of \(2, 3, 4\), got 5"):
+            layer_permutation(5, 1)
 
 
 def pair_projector(n, pair, sign):

@@ -93,7 +93,7 @@ class TestSampleShots:
     def test_non_finite_table_rejected(self, value):
         # every table of an all-NaN or all-inf matrix holds a NaN, which fails
         # the entry check before the multinomial draw sees it
-        with pytest.raises(ValueError, match=r"entry nan, below the tolerance -1e-12 or not a number"):
+        with pytest.raises(ValueError, match=r"is not a state's: lowest entry nan \(floor -7e-09\)"):
             sample_shots(np.full((4, 4), value), 2, 100, 0)
 
     def test_record_counts_are_frozen(self):

@@ -40,15 +40,19 @@ def hermitian_eig(m: np.ndarray) -> np.ndarray:
 
     Raises ValueError if a matrix deviates from Hermiticity by more than
     HERMITICITY_ATOL in any entry; silent symmetrization hides real bugs.
+    For a stack the error names the first such matrix, as validate does.
     A NaN or infinite entry is named as such, and is caught before the
     comparison, where inf - inf would make numpy warn.
     """
     m = np.asarray(m)
     _require_finite(m)
-    dev = np.abs(m - _dagger(m)).max(initial=0.0)
-    if dev > HERMITICITY_ATOL:
+    if np.abs(m - _dagger(m)).max(initial=0.0) > HERMITICITY_ATOL:
+        dev = np.abs(m - _dagger(m)).max(axis=(-2, -1))
+        bad = dev > HERMITICITY_ATOL
+        where = _position(bad)
         raise ValueError(
-            f"matrix is not Hermitian: max |M - M^dag| entry is {dev:.3e} (atol {HERMITICITY_ATOL:.1e})"
+            f"matrix is not Hermitian: {where + ': ' if where else ''}max |M - M^dag| entry is "
+            f"{dev[bad].flat[0]:.3e} (atol {HERMITICITY_ATOL:.1e})"
         )
     return np.linalg.eigvalsh(m)
 
@@ -58,10 +62,16 @@ def _require_finite(rho) -> np.ndarray:
     (..., d, d) stack that holds a NaN or an infinity."""
     rho = np.asarray(rho, dtype=complex)
     if np.count_nonzero(np.isfinite(rho)) != rho.size:
-        index = np.argwhere(~np.isfinite(rho).all(axis=(-2, -1)))[0].tolist()
-        where = f"state {', '.join(map(str, index))} of the stack" if index else "the matrix"
+        where = _position(~np.isfinite(rho).all(axis=(-2, -1))) or "the matrix"
         raise ValueError(f"non-finite entry in {where}")
     return rho
+
+
+def _position(bad) -> str:
+    """'state i of the stack' (i, j, ... over several leading axes) for the first
+    True of the per-matrix flags `bad`; '' for a single matrix."""
+    index = np.argwhere(bad)[0].tolist()
+    return f"state {', '.join(map(str, index))} of the stack" if index else ""
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:

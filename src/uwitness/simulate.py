@@ -3,26 +3,33 @@
 A record of N shots on n copies is one multinomial draw of N on the exact
 four-outcome distribution of the two-stage measurement: that is the law of
 the four counts of N independent shots, and it costs the same for any N.
+The distribution is built, checked and normalised once per (state, n) and
+kept in a small cache, so sampling one state again costs only the draw.
 The witness estimate plugs the three empirical moments into the witness
 polynomial.  Its percentile bootstrap redraws each moment as
 (2k - N)/N with k ~ Binomial(N, (c++ + c--)/N): the moment depends on the
 even-parity count c++ + c-- alone, and that count is binomial under the
-multinomial resample.  Everything is deterministic under a fixed seed.
+multinomial resample.  The interval's two percentiles are read from one
+partition of the resampled witnesses, bit for bit np.quantile's.
+Everything is deterministic under a fixed seed.
 Every state states.validate accepts is sampled: sample_shots allows a table
 entry down to -(3n + 1) POSITIVITY_ATOL and a sum (n + 1) TRACE_ATOL from 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .collective import COPY_COUNTS, outcome_probabilities
+from .collective import COPY_COUNTS, _check_n, outcome_probabilities
 from .states import POSITIVITY_ATOL, TRACE_ATOL
 from .witness import witness_polynomial
 
 DEFAULT_RESAMPLES = 1000
+_INTERVAL = (0.025, 0.975)
 
 
 @dataclass(frozen=True)
@@ -45,7 +52,7 @@ class ShotRecord:
         if c.shape != (4,):
             raise ValueError(f"counts must have 4 entries, got shape {c.shape}")
         _require_count("shots", self.shots)
-        if not np.all((c >= 0) & (c == np.floor(c))):
+        if not ((c >= 0) & (c == np.floor(c))).all():
             raise ValueError(f"counts must be nonnegative integers, got {c.tolist()}")
         if c.sum() != self.shots:
             raise ValueError(f"counts sum to {c.sum():g}, not to shots = {self.shots}")
@@ -81,17 +88,35 @@ def _require_count(name, value):
 
 def sample_shots(rho: np.ndarray, n: int, shots: int, seed: int) -> ShotRecord:
     """Draw the outcome counts of ``shots`` runs of the n-copy sequential
-    measurement.
+    measurement on the single (4, 4) state ``rho``.
 
     One multinomial draw of ``shots`` on the exact outcome probabilities:
     the exact law of the counts of ``shots`` independent outcomes, at a cost
     that does not grow with ``shots``.  Cells with probability zero can never
-    fire.  Raises ValueError unless ``shots`` is a positive integer and the
-    table is one that a state validate accepts can give: no entry below
-    -(3n + 1) POSITIVITY_ATOL or NaN, a sum within (n + 1) TRACE_ATOL of 1.
+    fire.  The checked, normalised distribution of each (state, n) is cached
+    (the last 64), keyed on the state's complex entries, so a state sampled
+    again is not tabled again and a state edited in place gets its own
+    table.  Raises ValueError unless ``shots`` is a positive integer, ``rho``
+    has shape (4, 4), and the table is one that a state validate accepts can
+    give: no entry below -(3n + 1) POSITIVITY_ATOL or NaN, a sum within
+    (n + 1) TRACE_ATOL of 1.
     """
     _require_count("shots", shots)
-    p = outcome_probabilities(rho, n).as_vector()
+    _check_n(n)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"sample_shots takes one (4, 4) state, got shape {rho.shape}")
+    counts = np.random.default_rng(seed).multinomial(shots, _distribution(rho.tobytes(), n))
+    return ShotRecord(n_copies=n, shots=int(shots), counts=counts, seed=seed)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _distribution(state: bytes, n: int) -> np.ndarray:
+    """The outcome probabilities of n copies of the (4, 4) complex state whose
+    bytes are ``state``, checked, clipped at 0 and normalised; read-only.
+    A failed check raises, and lru_cache keeps no exception.  Typed, so that
+    n = 2.0 is not served the entry of n = 2 but fails as it does uncached."""
+    p = outcome_probabilities(np.frombuffer(state, dtype=complex).reshape(4, 4), n).as_vector()
     # An entry is tr[M rho^(x)n], 0 <= M <= I, so at least the sum of the negative
     # eigenvalues of rho^(x)n: to first order n times that of rho, whose three lowest
     # validate keeps above -POSITIVITY_ATOL.  The sum is (tr rho)^n, about n TRACE_ATOL
@@ -102,8 +127,9 @@ def sample_shots(rho: np.ndarray, n: int, shots: int, seed: int) -> ShotRecord:
         raise ValueError(f"outcome table for n = {n} is not a state's: lowest entry {low:.3e} "
                          f"(floor {floor:.0e}), sum {abs(total - 1.0):.3e} from 1 (atol {sum_atol:.0e})")
     p = np.clip(p, 0.0, None)
-    counts = np.random.default_rng(seed).multinomial(shots, p / p.sum())
-    return ShotRecord(n_copies=n, shots=int(shots), counts=counts, seed=seed)
+    p /= p.sum()
+    p.setflags(write=False)
+    return p
 
 
 def _parity_moment(even, shots):
@@ -150,15 +176,36 @@ def estimate(records, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> Witn
         k = rng.binomial(int(r.shots), (c[0] + c[3]) / r.shots, size=resamples)
         boot_moments[n] = _parity_moment(k, r.shots)
     boot_w = witness_polynomial(boot_moments[2], boot_moments[3], boot_moments[4])
-    ci_low, ci_high = np.quantile(boot_w, (0.025, 0.975))
+    ci_low, ci_high = _interval(boot_w)
 
     return WitnessEstimate(
         pi2_hat=hats[2],
         pi3_hat=hats[3],
         pi4_hat=hats[4],
         witness_hat=witness_hat,
-        ci_low=float(ci_low),
-        ci_high=float(ci_high),
+        ci_low=ci_low,
+        ci_high=ci_high,
         shots_per_moment={n: int(by_n[n].shots) for n in COPY_COUNTS},
         resamples=resamples,
     )
+
+
+def _interval(values: np.ndarray) -> tuple:
+    """np.quantile(values, (0.025, 0.975)) of a finite 1-d array, bit for bit,
+    as two Python floats: one partition at the (at most four) order statistics
+    numpy's default linear rule reads, then its interpolation, in place of
+    quantile's general machinery, which costs about five times as much."""
+    top = len(values) - 1
+    cuts = []
+    for q in _INTERVAL:
+        v = top * q
+        i = math.floor(v)
+        # numpy's neighbours: past the last index both are the last value, t = v - (-1)
+        cuts.append((i, i + 1, v - i) if v < top else (top, top, v + 1))
+    part = np.partition(values, sorted({k for cut in cuts for k in cut[:2]}))
+    bounds = []
+    for i, j, t in cuts:
+        a, b = float(part[i]), float(part[j])
+        # numpy's _lerp: from the nearer end, so t = 0 gives a and t = 1 gives b exactly
+        bounds.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return tuple(bounds)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -283,6 +284,23 @@ class TestSimulate:
             main(["--command", "simulate", "--state", "singlet", "--shots", "3000", "--seed", "0", *option])
         assert exc.value.code == 2
         assert option[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("state, shots, seed, digest, interval", [
+        ("werner:0.7", "30000", "7",
+         "5489ce80fbb40231bb21e007bbc12cb2d156f5da7cdf99a027dfa172a13c502f",
+         (-0.028740338999999997, -0.012439939958333342)),
+        ("werner:0.35", "300000", "3",
+         "4bc30bbd788f83cf4e7a2562741dc5ba5b52b92f0b9666c41eed5b7ac48adbef",
+         (-0.0015771629766666794, 0.004196636129583344)),
+    ], ids=["werner-0.7", "werner-0.35"])
+    def test_frozen_output(self, capsys, state, shots, seed, digest, interval):
+        # the whole stdout, byte for byte: counts, moments, witness and interval
+        code, out, _ = run(capsys, "--command", "simulate", "--state", state,
+                           "--shots", shots, "--seed", seed)
+        assert code == 0
+        doc = json.loads(out)["estimate"]
+        assert (doc["ci_low"], doc["ci_high"]) == interval
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
     def test_shots_and_seed_required(self, capsys):
         code, _, err = run(

@@ -2,10 +2,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from uwitness import simulate
 from uwitness.collective import outcome_probabilities
 from uwitness.simulate import (
     ShotRecord,
+    _distribution,
+    _interval,
     estimate,
     moment_estimate,
     sample_shots,
@@ -102,6 +107,113 @@ class TestSampleShots:
             rec.counts[0] = 5
 
 
+@pytest.fixture
+def table_builds(monkeypatch):
+    """An emptied distribution cache, and a list that gains each n for which
+    sample_shots builds an outcome table while the test runs."""
+    _distribution.cache_clear()
+    builds = []
+
+    def counted(rho, n):
+        builds.append(n)
+        return outcome_probabilities(rho, n)
+
+    monkeypatch.setattr(simulate, "outcome_probabilities", counted)
+    yield builds
+    _distribution.cache_clear()
+
+
+class TestDistributionCache:
+    def test_one_table_per_state_and_n(self, table_builds):
+        rho = werner(0.7)
+        for seed in range(5):
+            sample_shots(rho, 4, 1000, seed)
+        # an equal state in another array is the same key
+        sample_shots(werner(0.7).astype(complex), 4, 1000, 9)
+        assert table_builds == [4]
+        sample_shots(rho, 2, 1000, 0)
+        assert table_builds == [4, 2]
+        assert _distribution.cache_info().currsize == 2
+
+    def test_cached_vector_is_read_only(self, table_builds):
+        p = _distribution(np.asarray(werner(0.7), dtype=complex).tobytes(), 3)
+        assert not p.flags.writeable and p.sum() == 1.0
+
+    def test_state_edited_in_place_gets_its_own_table(self, table_builds):
+        rho = werner(0.7).copy()
+        first = sample_shots(rho, 3, 10_000, seed=4)
+        rho[...] = werner(0.3)
+        edited = sample_shots(rho, 3, 10_000, seed=4)
+        assert table_builds == [3, 3]
+        assert not np.array_equal(first.counts, edited.counts)
+        _distribution.cache_clear()
+        assert np.array_equal(edited.counts, sample_shots(werner(0.3), 3, 10_000, seed=4).counts)
+
+    def test_invalid_state_raises_on_every_call(self, table_builds):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="is not a state's"):
+                sample_shots(2 * werner(0.6), 2, 1000, seed=1)
+        assert table_builds == [2, 2, 2]
+        assert _distribution.cache_info().currsize == 0
+
+    def test_cache_is_bounded(self, table_builds):
+        for rho in random_mixed_state(np.random.default_rng(8), 200):
+            sample_shots(rho, 2, 10, seed=0)
+        assert len(table_builds) == 200
+        assert _distribution.cache_info().currsize <= 64
+
+    def test_cache_accepts_no_other_copy_count(self, table_builds):
+        sample_shots(werner(0.7), 2, 1000, seed=0)
+        with pytest.raises(ValueError, match="copy count must be one of"):
+            sample_shots(werner(0.7), [2], 1000, seed=0)
+        # 2.0 == 2 and hashes alike, but is no copy count the engine takes
+        with pytest.raises((TypeError, ValueError)):
+            sample_shots(werner(0.7), 2.0, 1000, seed=0)
+
+    @pytest.mark.parametrize("shape", [(2, 4, 4), (2, 2)])
+    def test_one_state_only(self, table_builds, shape):
+        # a stack would be normalised over all its tables together and reported as one bad table
+        rho = np.broadcast_to(np.eye(shape[-1]) / shape[-1], shape)
+        with pytest.raises(ValueError, match=re.escape(f"one (4, 4) state, got shape {shape}")):
+            sample_shots(rho, 2, 1000, seed=0)
+        assert table_builds == [] and _distribution.cache_info().currsize == 0
+
+
+# a few values, so that draws repeat them: the bootstrap witness takes at most
+# resamples + 1 distinct values per moment and often repeats one
+_tied_arrays = st.lists(st.floats(-1e3, 1e3, width=64), min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=1200).map(np.array))
+_finite_arrays = hnp.arrays(np.float64, st.integers(1, 1200), elements=st.floats(-1e100, 1e100))
+
+
+def _same_bits(interval, x):
+    return np.array(interval).tobytes() == np.quantile(x, (0.025, 0.975)).tobytes()
+
+
+class TestInterval:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.one_of(_tied_arrays, _finite_arrays))
+    def test_equals_numpy_quantile(self, x):
+        assert _same_bits(_interval(x), x)
+
+    @pytest.mark.parametrize("x", [
+        np.array([0.25]), np.array([-0.0]), np.array([0.3, -0.1]), np.array([-0.0, 0.0]),
+        np.full(1000, -0.0625), np.full(2, 0.1),
+        # 21 values put the 2.5% point halfway between the two lowest, where
+        # a + (b - a) / 2 and b - (b - a) / 2 round apart for this pair
+        np.array([0.034124882938726064, -0.0007514334470008721] + [1.0] * 19),
+    ], ids=["one", "one-negative-zero", "two", "two-zeros", "constant-1000", "constant-2", "half-weight"])
+    def test_short_and_constant_arrays(self, x):
+        assert _same_bits(_interval(x), x)
+
+    @pytest.mark.parametrize("resamples", [1, 2, 1000])
+    def test_one_parity_records_give_a_point_interval(self, resamples):
+        # every outcome even: each moment is 1 in every resample, so is the witness
+        recs = [ShotRecord(n, 500, [300, 0, 0, 200], 0) for n in (2, 3, 4)]
+        est = estimate(recs, resamples=resamples, seed=1)
+        assert est.ci_low == est.ci_high == est.witness_hat
+
+
 class TestMomentEstimate:
     def test_signed_sum(self):
         rec = ShotRecord(n_copies=2, shots=10, counts=np.array([7, 1, 1, 1]), seed=0)
@@ -116,6 +228,43 @@ class TestMomentEstimate:
         ]
         se = np.std(errs) / np.sqrt(len(errs))
         assert abs(np.mean(errs)) < 5 * se
+
+
+# (pi2_hat, pi3_hat, pi4_hat, witness_hat, ci_low, ci_high) of ten experiments on
+# one Hilbert-Schmidt state: three 100 000-shot records and a 1000-resample
+# bootstrap each, seeded as SeedSequence([0, t]).generate_state(4).  Any change to
+# the sampling or to the interval that moves a bit fails here.
+FROZEN_ESTIMATES = [
+    (0.44556, 0.21476, 0.11338, -0.0016662024666666737, -0.004288929599583339, 0.0008189404145833493),
+    (0.44148, 0.21498, 0.11296, -0.0009202595333333378, -0.003551522843749987, 0.0018112008270833118),
+    (0.43506, 0.215, 0.109, 0.0009779837833333211, -0.001717580173333343, 0.003672711764583335),
+    (0.43938, 0.21566, 0.11026, 0.00027518138333332276, -0.0022923851266666673, 0.0028583834266666624),
+    (0.43522, 0.20936, 0.11366, -0.0020896106166666817, -0.00476690294625, 0.0005184959166666538),
+    (0.4386, 0.21494, 0.11484, -0.0010004216666666583, -0.00363544895708334, 0.0014967112187500044),
+    (0.43592, 0.21622, 0.11578, -0.0004317192000000136, -0.0031138254479166727, 0.0019880979999999967),
+    (0.43536, 0.21632, 0.11818, -0.0009193754666666498, -0.0035657075429166747, 0.002072487302916654),
+    (0.43666, 0.21336, 0.1193, -0.002369338883333331, -0.005209358728333327, 0.0002641372879166639),
+    (0.44122, 0.21106, 0.11296, -0.002190613949999994, -0.0045800268466666795, 0.00044667527166666486),
+]
+
+
+def frozen_hs_state():
+    """The first state of the `shots` benchmark: Ginibre G from default_rng(0),
+    G G^dag over its trace."""
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_frozen_estimates():
+    rho = frozen_hs_state()
+    for t, expected in enumerate(FROZEN_ESTIMATES):
+        *record_seeds, boot_seed = (int(x) for x in np.random.SeedSequence([0, t]).generate_state(4))
+        recs = [sample_shots(rho, n, 100_000, s) for n, s in zip((2, 3, 4), record_seeds)]
+        est = estimate(recs, resamples=1000, seed=boot_seed)
+        assert (est.pi2_hat, est.pi3_hat, est.pi4_hat, est.witness_hat, est.ci_low, est.ci_high) == expected
+        assert est.shots_per_moment == {2: 100_000, 3: 100_000, 4: 100_000} and est.resamples == 1000
 
 
 class TestEstimate:

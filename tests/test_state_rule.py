@@ -13,9 +13,10 @@ import warnings
 import numpy as np
 import pytest
 
-from uwitness.simulate import sample_shots
+from uwitness import checks
+from uwitness.simulate import _distribution, sample_shots
 from uwitness.states import POSITIVITY_ATOL, TRACE_ATOL, StateSampler, validate, werner
-from uwitness.witness import witness_report
+from uwitness.witness import negativity, witness_report
 
 SHOTS = 1000
 
@@ -83,6 +84,20 @@ def test_witness_report_names_the_first_non_state_as_validate_does():
         witness_report(stack)
 
 
+@pytest.mark.parametrize("entry", [negativity, witness_report, checks.witness_det],
+                         ids=["negativity", "witness_report", "witness_det"])
+def test_non_hermitian_state_is_named_as_validate_does(entry):
+    stack = StateSampler("hs", 107).sample(4)
+    stack[2, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match=re.escape("state 2 of the stack: not Hermitian")):
+        validate(stack)
+    with pytest.raises(ValueError, match=re.escape("state 2 of the stack: max |M - M^dag| entry is 1.000e-06")):
+        entry(stack)
+    # a single matrix has no position to name
+    with pytest.raises(ValueError, match=re.escape("matrix is not Hermitian: max |M - M^dag|")):
+        entry(stack[2])
+
+
 def test_witness_report_accepts_the_validated_edge_states():
     for _, rho in EDGE_STATES:
         witness_report(rho)
@@ -108,6 +123,7 @@ def test_witness_report_gate_adds_no_eigensolve(lapack_calls):
 
 
 def test_sample_shots_makes_no_eigensolve(lapack_calls):
+    _distribution.cache_clear()  # so each table is built here
     for n in (2, 3, 4):
         sample_shots(werner(0.7), n, SHOTS, seed=n)
     assert lapack_calls == {"eigh": 0, "eigvalsh": 0, "svd": 0}

@@ -31,8 +31,8 @@ import numpy as np
 from .collective import (_LAYER_PAIRS, COPY_COUNTS, _swap_permutation, layer_permutation,
                          moment_cycle, moment_via_observable, outcome_probabilities)
 from .invariants import apply_local_unitary, decompose, makhlin, moments_via_invariants
-from .linalg import hermitian_eig, partial_transpose
-from .states import haar_unitary
+from .linalg import partial_transpose
+from .states import _require_state, haar_unitary
 from .witness import moments_direct, witness_report, witness_value
 
 BOUND_SLACK = 1e-9
@@ -185,8 +185,10 @@ def local_unitary_drift(batch, rng, rotations: int) -> float:
 
 def witness_det(batch) -> float:
     """max |witness polynomial - det rho^PT|, the determinant taken as the
-    product of the eigenvalues of the partial transpose."""
-    det = np.prod(hermitian_eig(partial_transpose(batch)), axis=-1)
+    product of the eigenvalues of the partial transpose; ValueError for a
+    batch that validate would reject."""
+    batch = _require_state(batch, np.linalg.eigvalsh)[0]
+    det = np.prod(np.linalg.eigvalsh(partial_transpose(batch)), axis=-1)
     return _worst(np.abs(witness_value(moments_direct(batch)) - det))
 
 

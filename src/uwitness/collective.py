@@ -81,7 +81,8 @@ OUTCOME_SIGNS = (1, -1)
 
 
 def _check_n(n: int, allowed: tuple = COPY_COUNTS):
-    if n not in allowed:
+    # 2.0 == 2, but a float is no copy count: it would fail in the bit shifts
+    if not isinstance(n, (int, np.integer)) or n not in allowed:
         raise ValueError(f"copy count must be one of {allowed}, got {n}")
 
 

@@ -5,13 +5,14 @@ over the leading axes: a single matrix is the case with no leading axes.
 Qubits are indexed left-to-right in the tensor product (qubit 0 is the most
 significant bit of the computational-basis index), so a two-qubit matrix
 reshapes to the tensor r[..., a_row, b_row, a_col, b_col] (_pair_tensor).
+Nothing here judges whether a matrix is a state: that rule, its tolerances
+and its messages belong to uwitness.states, which names a bad matrix of a
+stack through _position.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-HERMITICITY_ATOL = 1e-10
 
 
 def partial_transpose(rho: np.ndarray) -> np.ndarray:
@@ -32,39 +33,6 @@ def _pair_tensor(rho) -> np.ndarray:
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a (..., 4, 4) two-qubit matrix, got shape {rho.shape}")
     return rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
-
-
-def hermitian_eig(m: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, or of each matrix in a
-    (..., d, d) stack, ascending along the last axis.
-
-    Raises ValueError if a matrix deviates from Hermiticity by more than
-    HERMITICITY_ATOL in any entry; silent symmetrization hides real bugs.
-    For a stack the error names the first such matrix, as validate does.
-    A NaN or infinite entry is named as such, and is caught before the
-    comparison, where inf - inf would make numpy warn.
-    """
-    m = np.asarray(m)
-    _require_finite(m)
-    if np.abs(m - _dagger(m)).max(initial=0.0) > HERMITICITY_ATOL:
-        dev = np.abs(m - _dagger(m)).max(axis=(-2, -1))
-        bad = dev > HERMITICITY_ATOL
-        where = _position(bad)
-        raise ValueError(
-            f"matrix is not Hermitian: {where + ': ' if where else ''}max |M - M^dag| entry is "
-            f"{dev[bad].flat[0]:.3e} (atol {HERMITICITY_ATOL:.1e})"
-        )
-    return np.linalg.eigvalsh(m)
-
-
-def _require_finite(rho) -> np.ndarray:
-    """rho as a complex array; ValueError naming the first matrix of the
-    (..., d, d) stack that holds a NaN or an infinity."""
-    rho = np.asarray(rho, dtype=complex)
-    if np.count_nonzero(np.isfinite(rho)) != rho.size:
-        where = _position(~np.isfinite(rho).all(axis=(-2, -1))) or "the matrix"
-        raise ValueError(f"non-finite entry in {where}")
-    return rho
 
 
 def _position(bad) -> str:

@@ -12,8 +12,8 @@ even-parity count c++ + c-- alone, and that count is binomial under the
 multinomial resample.  The interval's two percentiles are read from one
 partition of the resampled witnesses, bit for bit np.quantile's.
 Everything is deterministic under a fixed seed.
-Every state states.validate accepts is sampled: sample_shots allows a table
-entry down to -(3n + 1) POSITIVITY_ATOL and a sum (n + 1) TRACE_ATOL from 1.
+sample_shots samples exactly the states states.validate accepts: the state
+rule is judged, with validate's message, when a distribution is built.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .collective import COPY_COUNTS, _check_n, outcome_probabilities
-from .states import POSITIVITY_ATOL, TRACE_ATOL
+from .states import _require_state
 from .witness import witness_polynomial
 
 DEFAULT_RESAMPLES = 1000
@@ -96,37 +96,27 @@ def sample_shots(rho: np.ndarray, n: int, shots: int, seed: int) -> ShotRecord:
     fire.  The checked, normalised distribution of each (state, n) is cached
     (the last 64), keyed on the state's complex entries, so a state sampled
     again is not tabled again and a state edited in place gets its own
-    table.  Raises ValueError unless ``shots`` is a positive integer, ``rho``
-    has shape (4, 4), and the table is one that a state validate accepts can
-    give: no entry below -(3n + 1) POSITIVITY_ATOL or NaN, a sum within
-    (n + 1) TRACE_ATOL of 1.
+    table.  Raises ValueError unless ``shots`` is a positive integer, ``n``
+    one of 2, 3, 4, and ``rho`` one matrix (not a stack) that validate
+    accepts, with validate's message.
     """
     _require_count("shots", shots)
     _check_n(n)
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.ndim != 2:
         raise ValueError(f"sample_shots takes one (4, 4) state, got shape {rho.shape}")
-    counts = np.random.default_rng(seed).multinomial(shots, _distribution(rho.tobytes(), n))
+    counts = np.random.default_rng(seed).multinomial(shots, _distribution(rho.tobytes(), rho.shape, n))
     return ShotRecord(n_copies=n, shots=int(shots), counts=counts, seed=seed)
 
 
-@lru_cache(maxsize=64, typed=True)
-def _distribution(state: bytes, n: int) -> np.ndarray:
-    """The outcome probabilities of n copies of the (4, 4) complex state whose
-    bytes are ``state``, checked, clipped at 0 and normalised; read-only.
-    A failed check raises, and lru_cache keeps no exception.  Typed, so that
-    n = 2.0 is not served the entry of n = 2 but fails as it does uncached."""
-    p = outcome_probabilities(np.frombuffer(state, dtype=complex).reshape(4, 4), n).as_vector()
-    # An entry is tr[M rho^(x)n], 0 <= M <= I, so at least the sum of the negative
-    # eigenvalues of rho^(x)n: to first order n times that of rho, whose three lowest
-    # validate keeps above -POSITIVITY_ATOL.  The sum is (tr rho)^n, about n TRACE_ATOL
-    # from 1.  One atol more covers higher orders and rounding; a NaN fails the check.
-    floor, sum_atol = -(3 * n + 1) * POSITIVITY_ATOL, (n + 1) * TRACE_ATOL
-    low, total = p.min(), float(p.sum())
-    if not (low >= floor and abs(total - 1.0) <= sum_atol):
-        raise ValueError(f"outcome table for n = {n} is not a state's: lowest entry {low:.3e} "
-                         f"(floor {floor:.0e}), sum {abs(total - 1.0):.3e} from 1 (atol {sum_atol:.0e})")
-    p = np.clip(p, 0.0, None)
+@lru_cache(maxsize=64)
+def _distribution(state: bytes, shape: tuple, n: int) -> np.ndarray:
+    """The outcome probabilities of n copies of the complex matrix of this
+    shape whose bytes are ``state``, once the state rule has passed it,
+    clipped at 0 and normalised; read-only.  A rejected matrix raises before
+    any table is built, and lru_cache keeps no exception."""
+    rho = _require_state(np.frombuffer(state, dtype=complex).reshape(shape), np.linalg.eigvalsh)[0]
+    p = np.clip(outcome_probabilities(rho, n).as_vector(), 0.0, None)
     p /= p.sum()
     p.setflags(write=False)
     return p

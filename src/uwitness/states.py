@@ -11,8 +11,11 @@ import json
 
 import numpy as np
 
-from .linalg import HERMITICITY_ATOL, _dagger, _require_finite, _trace
+from .linalg import _dagger, _position, _trace
 
+# the state rule: a finite Hermitian (4, 4) matrix of unit trace, no eigenvalue
+# below -POSITIVITY_ATOL
+HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 POSITIVITY_ATOL = 1e-9
 
@@ -28,34 +31,47 @@ def validate(rho) -> np.ndarray:
     positivity) together with the magnitude of the violation; for a stack,
     of the first invalid state, whose index it names.
     """
+    return _require_state(rho, np.linalg.eigvalsh)[0]
+
+
+def _require_state(rho, solver):
+    """(rho as a complex array, solver(rho)), or validate's ValueError naming
+    the first matrix of the stack off the state rule: the one gate of every
+    entry point that takes a state.
+
+    Shape, finiteness, Hermiticity and trace are judged on every call.
+    solver is the eigensolver the caller needs anyway, np.linalg.eigvalsh or
+    np.linalg.eigh, and positivity is judged from the lowest eigenvalue it
+    returns, where the matrix is Hermitian; None judges no positivity and
+    returns no spectrum.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix or a (..., 4, 4) stack, got shape {rho.shape}")
-    _require_finite(rho)
+    finite = np.isfinite(rho)
+    if np.count_nonzero(finite) != rho.size:
+        # before rho - rho^dag, where inf - inf would make numpy warn
+        raise ValueError(f"non-finite entry in {_position(~finite.all(axis=(-2, -1))) or 'the matrix'}")
+    spectrum = None if solver is None else solver(rho)
     herm_dev = np.abs(rho - _dagger(rho)).max(axis=(-2, -1))
-    return _require_state(rho, np.linalg.eigvalsh(rho)[..., 0], herm_dev)
-
-
-def _require_state(rho, min_eig, herm_dev=None) -> np.ndarray:
-    """rho, or validate's ValueError naming the first matrix off the state rule;
-    Hermiticity is judged only where herm_dev is given."""
-    trace_dev = np.abs(_trace(rho) - 1.0)
-    hermitian = np.full(trace_dev.shape, True) if herm_dev is None else herm_dev <= HERMITICITY_ATOL
-    # the spectrum is judged only where the matrix is Hermitian
-    not_psd = hermitian & (min_eig < -POSITIVITY_ATOL)
-    invalid = ~hermitian | (trace_dev > TRACE_ATOL) | not_psd
+    trace_dev = abs(_trace(rho) - 1.0)
+    invalid = (herm_dev > HERMITICITY_ATOL) | (trace_dev > TRACE_ATOL)
+    if spectrum is not None:  # eigh returns (eigenvalues, eigenvectors), eigvalsh the eigenvalues
+        min_eig = (spectrum[0] if isinstance(spectrum, tuple) else spectrum)[..., 0]
+        invalid = invalid | (min_eig < -POSITIVITY_ATOL)
     if not np.count_nonzero(invalid):
-        return rho
+        return rho, spectrum
     index = tuple(np.argwhere(invalid)[0])
     problems = []
-    if not hermitian[index]:
+    if herm_dev[index] > HERMITICITY_ATOL:
         problems.append(f"not Hermitian (max |rho - rho^dag| = {herm_dev[index]:.3e})")
     if trace_dev[index] > TRACE_ATOL:
         problems.append(f"trace differs from 1 by {trace_dev[index]:.3e}")
-    if not_psd[index]:
+    # the spectrum is judged only where the matrix is Hermitian
+    if spectrum is not None and herm_dev[index] <= HERMITICITY_ATOL and min_eig[index] < -POSITIVITY_ATOL:
         problems.append(f"not positive semidefinite (min eigenvalue = {min_eig[index]:.3e})")
-    where = f"state {', '.join(map(str, index))} of the stack: " if index else ""
-    raise ValueError("invalid density matrix: " + where + "; ".join(problems))
+    where = _position(invalid)
+    raise ValueError("invalid density matrix: " + (where + ": " if where else "") + "; ".join(problems))
 
 
 def _pure(vec) -> np.ndarray:

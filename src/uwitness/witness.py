@@ -12,10 +12,11 @@ line w = C (C + 2)^3 / 27.
 
 Every function takes rho of shape (..., 4, 4), or w of any shape, and
 broadcasts over the leading axes; a single state gives Python floats and
-bools, a stack gives arrays of its leading shape.  negativity and
-concurrence raise ValueError naming the first state of the stack with a
-non-finite entry, and witness_report the first that validate would reject;
-the moments are polynomials and pass a NaN through.
+bools, a stack gives arrays of its leading shape.  witness_report and
+concurrence raise validate's ValueError for the first state of the stack
+that validate would reject, judged from the eigendecomposition concurrence
+needs anyway; negativity the same short of positivity, which would take a
+second eigensolve.  The moments are polynomials and pass a NaN through.
 
 Error model: w carries about 1e-15 absolute error, whatever its size, since
 the moment polynomial cancels O(1) terms.  ENTANGLEMENT_ATOL = 1e-12 on the
@@ -31,7 +32,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .linalg import _positive_part, _require_finite, _result, _trace, hermitian_eig, partial_transpose
+from .linalg import _positive_part, _result, _trace, partial_transpose
 from .states import _require_state
 
 # witness values within this band of zero are treated as "not detected"
@@ -104,9 +105,17 @@ def rescaled_witness(value):
 
 
 def negativity(rho: np.ndarray):
-    """N = 2 * max(0, -min eigenvalue of rho^PT); equals |sum of negative eigenvalues| * 2."""
-    # hermitian_eig rejects a non-finite entry before its Hermiticity check
-    lowest = _result(hermitian_eig(partial_transpose(np.asarray(rho, dtype=complex)))[..., 0])
+    """N = 2 * max(0, -min eigenvalue of rho^PT); equals |sum of negative eigenvalues| * 2.
+
+    The state rule is applied short of positivity: a matrix with a negative
+    eigenvalue passes, since judging it would take an eigensolve of rho on
+    top of the one of rho^PT.
+    """
+    return _negativity(_require_state(rho, None)[0])
+
+
+def _negativity(rho):
+    lowest = _result(np.linalg.eigvalsh(partial_transpose(rho))[..., 0])
     return 2.0 * _positive_part(-lowest)
 
 
@@ -121,9 +130,10 @@ def concurrence(rho: np.ndarray):
     rank-deficient states, pure or mixed, where a non-Hermitian eigensolve
     loses half the digits on the degenerate zeros.  That brute-force route
     is test code, concurrence_spinflip_eigs in tests/test_witness.py, which
-    keeps the two in agreement.
+    keeps the two in agreement.  ValueError for any input that validate
+    would reject, judged from the same eigendecomposition.
     """
-    return _concurrence(*np.linalg.eigh(_require_finite(rho)))
+    return _concurrence(*_require_state(rho, np.linalg.eigh)[1])
 
 
 def _concurrence(d, v):
@@ -191,11 +201,10 @@ def witness_report(rho: np.ndarray) -> WitnessReport:
     """Witness, rescaled value, exact measures, and the bound corridor for a
     state, or for each state of a (..., 4, 4) stack (every field an array);
     ValueError for any input that validate would reject."""
-    rho = np.asarray(rho, dtype=complex)
-    # negativity checks finiteness and Hermiticity, and concurrence's eigh the rest
-    n, (d, v) = negativity(rho), np.linalg.eigh(rho)
-    _require_state(rho, d[..., 0])  # before _concurrence zeroes d and a moment can overflow
-    c = _concurrence(d, v)
+    # the gate reads d before _concurrence zeroes part of it, and a non-state
+    # never reaches the moments, where 1e100 * rho would overflow
+    rho, (d, v) = _require_state(rho, np.linalg.eigh)
+    n, c = _negativity(rho), _concurrence(d, v)
     value = witness_value(moments_direct(rho))
     # rescaled_witness already clamps w to [0, 1]: no second check
     w = rescaled_witness(value)

@@ -22,7 +22,7 @@ from uwitness.collective import (
     moments_collective,
     outcome_probabilities,
 )
-from uwitness.linalg import hermitian_eig, partial_transpose
+from uwitness.linalg import partial_transpose
 from uwitness.states import phi_plus, random_mixed_state, random_pure_state, singlet, werner
 from uwitness.witness import moments_direct
 
@@ -78,7 +78,7 @@ def kron_power(m, n):
 
 
 def spectral_moments(rho):
-    eigs = hermitian_eig(partial_transpose(rho))
+    eigs = np.linalg.eigvalsh(partial_transpose(rho))
     return tuple(float(np.sum(eigs**n)) for n in COPY_COUNTS)
 
 
@@ -139,6 +139,16 @@ class TestLayers:
             layer_permutation(2, 3)
         with pytest.raises(ValueError, match=r"copy count must be one of \(2, 3, 4\), got 5"):
             layer_permutation(5, 1)
+        # 2.0 == 2, but a float copy count is refused as every other bad n is,
+        # not by numpy's bit shifts; a numpy integer is still a copy count
+        with pytest.raises(ValueError, match=r"copy count must be one of \(2, 3, 4\), got 2\.0"):
+            outcome_probabilities(MAX_MIXED, 2.0)
+        with pytest.raises(ValueError, match=r"copy count must be one of \(2, 3, 4\), got 2\.0"):
+            layer_permutation(2.0, 1)
+        with pytest.raises(ValueError, match=r"copy count must be one of \(3, 4\), got 3\.0"):
+            moment_via_observable(MAX_MIXED, 3.0)
+        assert np.array_equal(outcome_probabilities(MAX_MIXED, np.int64(2)).probabilities,
+                              outcome_probabilities(MAX_MIXED, 2).probabilities)
 
 
 def pair_projector(n, pair, sign):
@@ -338,7 +348,7 @@ class TestSymmetrizedCopies:
         rp = symmetrized_copies(rho, 3)
         assert abs(np.trace(rp) - 1.0) < 1e-12
         assert np.abs(rp - rp.conj().T).max() < 1e-14
-        assert hermitian_eig(rp).min() > -1e-12
+        assert np.linalg.eigvalsh(rp).min() > -1e-12
 
 
 def oracle_states():

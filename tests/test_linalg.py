@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from uwitness.checks import tensor_power
-from uwitness.linalg import hermitian_eig, partial_transpose
+from uwitness.linalg import partial_transpose
 
 from test_collective import permutation_matrix
 
@@ -37,7 +37,7 @@ def test_partial_transpose_is_involution():
 def test_partial_transpose_singlet_spectrum():
     v = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
     rho = np.outer(v, v)
-    eigs = hermitian_eig(partial_transpose(rho))
+    eigs = np.linalg.eigvalsh(partial_transpose(rho))
     assert np.allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
 
@@ -64,26 +64,4 @@ def test_swap_expectation_equals_purity_of_reduction():
         lhs = np.trace(s_a @ np.kron(rho, rho)).real
         ra = np.einsum("ikjk->ij", rho.reshape(2, 2, 2, 2))  # tr_b rho
         assert abs(lhs - np.trace(ra @ ra).real) < 1e-12
-
-
-def test_hermitian_eig_known_spectra():
-    assert np.allclose(hermitian_eig(np.eye(4)), np.ones(4))
-    # werner-type spectrum of the partial transpose at p = 1/2
-    v = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
-    rho = 0.5 * np.outer(v, v) + 0.5 * np.eye(4) / 4
-    eigs = hermitian_eig(partial_transpose(rho))
-    assert np.allclose(eigs, [-0.125, 0.375, 0.375, 0.375], atol=1e-12)
-
-
-def test_hermitian_eig_sum_matches_trace():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        rho = random_state(rng)
-        assert abs(hermitian_eig(rho).sum() - 1.0) < 1e-9
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="Hermitian"):
-        hermitian_eig(m)
 

@@ -86,19 +86,20 @@ class TestSampleShots:
             sample_shots(MAX_MIXED, 2, shots, seed=0)
 
     def test_non_state_rejected(self):
-        # trace 2: every table sums to 2**n
-        with pytest.raises(ValueError, match=r"3\.000e\+00 from 1"):
+        # trace 2 (every table would sum to 2**n), and trace 1 but not positive
+        # (the n = 2 table would have an entry -0.115): validate's message each
+        trace2 = "invalid density matrix: trace differs from 1 by 1.000e+00"
+        with pytest.raises(ValueError, match=re.escape(trace2)):
             sample_shots(2 * werner(0.6), 2, 1000, seed=1)
-        # trace 1 but not positive: the n = 2 table has an entry -0.115
         rho = np.diag([1.2, -0.1, -0.1, 0.0])
-        with pytest.raises(ValueError, match=r"entry -1\.150e-01"):
+        not_psd = "invalid density matrix: not positive semidefinite (min eigenvalue = -1.000e-01)"
+        with pytest.raises(ValueError, match=re.escape(not_psd)):
             sample_shots(rho, 2, 1000, seed=1)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_table_rejected(self, value):
-        # every table of an all-NaN or all-inf matrix holds a NaN, which fails
-        # the entry check before the multinomial draw sees it
-        with pytest.raises(ValueError, match=r"is not a state's: lowest entry nan \(floor -7e-09\)"):
+        # an all-NaN or all-inf matrix is rejected before any table or draw
+        with pytest.raises(ValueError, match=re.escape("non-finite entry in the matrix")):
             sample_shots(np.full((4, 4), value), 2, 100, 0)
 
     def test_record_counts_are_frozen(self):
@@ -136,7 +137,7 @@ class TestDistributionCache:
         assert _distribution.cache_info().currsize == 2
 
     def test_cached_vector_is_read_only(self, table_builds):
-        p = _distribution(np.asarray(werner(0.7), dtype=complex).tobytes(), 3)
+        p = _distribution(np.asarray(werner(0.7), dtype=complex).tobytes(), (4, 4), 3)
         assert not p.flags.writeable and p.sum() == 1.0
 
     def test_state_edited_in_place_gets_its_own_table(self, table_builds):
@@ -151,9 +152,10 @@ class TestDistributionCache:
 
     def test_invalid_state_raises_on_every_call(self, table_builds):
         for _ in range(3):
-            with pytest.raises(ValueError, match="is not a state's"):
+            with pytest.raises(ValueError, match=re.escape("trace differs from 1 by 1.000e+00")):
                 sample_shots(2 * werner(0.6), 2, 1000, seed=1)
-        assert table_builds == [2, 2, 2]
+        # the state rule rejects it before a table is built, and no entry is kept
+        assert table_builds == []
         assert _distribution.cache_info().currsize == 0
 
     def test_cache_is_bounded(self, table_builds):
@@ -167,14 +169,19 @@ class TestDistributionCache:
         with pytest.raises(ValueError, match="copy count must be one of"):
             sample_shots(werner(0.7), [2], 1000, seed=0)
         # 2.0 == 2 and hashes alike, but is no copy count the engine takes
-        with pytest.raises((TypeError, ValueError)):
+        with pytest.raises(ValueError, match=re.escape("copy count must be one of (2, 3, 4), got 2.0")):
             sample_shots(werner(0.7), 2.0, 1000, seed=0)
+        assert table_builds == [2]
 
     @pytest.mark.parametrize("shape", [(2, 4, 4), (2, 2)])
     def test_one_state_only(self, table_builds, shape):
-        # a stack would be normalised over all its tables together and reported as one bad table
+        # a stack would be normalised over all its tables together and reported
+        # as one bad table; one matrix of another size is judged by the state
+        # rule, as validate judges it
         rho = np.broadcast_to(np.eye(shape[-1]) / shape[-1], shape)
-        with pytest.raises(ValueError, match=re.escape(f"one (4, 4) state, got shape {shape}")):
+        message = (f"sample_shots takes one (4, 4) state, got shape {shape}" if len(shape) == 3
+                   else f"expected a 4x4 matrix or a (..., 4, 4) stack, got shape {shape}")
+        with pytest.raises(ValueError, match=re.escape(message)):
             sample_shots(rho, 2, 1000, seed=0)
         assert table_builds == [] and _distribution.cache_info().currsize == 0
 

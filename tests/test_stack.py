@@ -14,7 +14,7 @@ from uwitness.collective import (_TRACE_BLOCK, COPY_COUNTS, moment_cycle, moment
                                  moments_collective, outcome_probabilities)
 from uwitness.invariants import (apply_local_unitary, decompose, makhlin, moments_from_invariants,
                                  moments_via_invariants)
-from uwitness.linalg import hermitian_eig, partial_transpose
+from uwitness.linalg import partial_transpose
 from uwitness.states import StateSampler, haar_unitary, validate, werner
 from uwitness.witness import (bounds, concurrence, lower_bound, moments_direct, negativity,
                               rescaled_witness, upper_bound, witness_report, witness_value)
@@ -47,7 +47,6 @@ def close(stacked, single, atol=1e-15):
 
 STATE_LAYERS = {
     "partial_transpose": partial_transpose,
-    "hermitian_eig": lambda r: hermitian_eig(partial_transpose(r)),
     "validate": validate,
     "moments_direct": lambda r: moments_direct(r).as_tuple(),
     "witness_value": lambda r: witness_value(moments_direct(r)),

@@ -1,10 +1,14 @@
 """The one state rule of uwitness.states, applied at every front door.
 
 validate accepts a matrix whose lowest eigenvalue is down to -POSITIVITY_ATOL
-and whose trace is within TRACE_ATOL of 1.  sample_shots must sample every
-such state at n = 2, 3 and 4, its table bounds being derived from the same
-two margins, and witness_report must reject what validate rejects, with
-validate's message, from the eigendecomposition concurrence already makes.
+and whose trace is within TRACE_ATOL of 1.  Every entry point that takes a
+state (validate, witness_report, negativity, concurrence, checks.witness_det
+and sample_shots) passes it through the same gate, so each rejects what
+validate rejects with validate's message; negativity alone does not judge
+positivity, which would take a second eigensolve.  sample_shots samples every
+state validate accepts at n = 2, 3 and 4.  The gate reads positivity from the
+spectrum its caller computes anyway: the eigensolver counts pin that no entry
+point solves twice.
 """
 
 import re
@@ -16,7 +20,7 @@ import pytest
 from uwitness import checks
 from uwitness.simulate import _distribution, sample_shots
 from uwitness.states import POSITIVITY_ATOL, TRACE_ATOL, StateSampler, validate, werner
-from uwitness.witness import negativity, witness_report
+from uwitness.witness import concurrence, negativity, witness_report
 
 SHOTS = 1000
 
@@ -89,13 +93,62 @@ def test_witness_report_names_the_first_non_state_as_validate_does():
 def test_non_hermitian_state_is_named_as_validate_does(entry):
     stack = StateSampler("hs", 107).sample(4)
     stack[2, 0, 1] += 1e-6
-    with pytest.raises(ValueError, match=re.escape("state 2 of the stack: not Hermitian")):
-        validate(stack)
-    with pytest.raises(ValueError, match=re.escape("state 2 of the stack: max |M - M^dag| entry is 1.000e-06")):
-        entry(stack)
     # a single matrix has no position to name
-    with pytest.raises(ValueError, match=re.escape("matrix is not Hermitian: max |M - M^dag|")):
-        entry(stack[2])
+    for bad, where in ((stack, "state 2 of the stack: "), (stack[2], "")):
+        message = f"invalid density matrix: {where}not Hermitian (max |rho - rho^dag| = 1.000e-06)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            validate(bad)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            entry(bad)
+
+
+def _sample_n2(rho):
+    return sample_shots(rho, 2, SHOTS, seed=0)
+
+
+ENTRY_POINTS = {
+    "validate": validate,
+    "witness_report": witness_report,
+    "negativity": negativity,
+    "concurrence": concurrence,
+    "witness_det": checks.witness_det,
+    "sample_shots": _sample_n2,
+}
+
+
+def _faults():
+    nan = werner(0.5)
+    nan[1, 2] = np.nan
+    off_hermitian = werner(0.5)
+    off_hermitian[0, 1] += 1e-6
+    return {
+        "shape-3x3": np.eye(3) / 3,
+        "nan": nan,
+        "off-hermitian-1e-6": off_hermitian,
+        "trace-2": 2 * werner(0.5),
+        "not-psd": np.diag([1.2, -0.1, -0.1, 0.0]),
+    }
+
+
+FAULTS = _faults()
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_entry_point_rejects_as_validate_does(entry, fault):
+    bad = FAULTS[fault]
+    with pytest.raises(ValueError) as expected:
+        validate(bad)
+    if (entry, fault) == ("negativity", "not-psd"):
+        # the documented exception: positivity would take a second eigensolve,
+        # so N is read off rho^PT = rho as it is, twice its eigenvalue -0.1
+        assert negativity(bad) == pytest.approx(0.2, abs=1e-15)
+        return
+    _distribution.cache_clear()
+    with pytest.raises(ValueError) as raised:
+        ENTRY_POINTS[entry](bad)
+    assert str(raised.value) == str(expected.value)
+    assert _distribution.cache_info().currsize == 0
 
 
 def test_witness_report_accepts_the_validated_edge_states():
@@ -122,8 +175,25 @@ def test_witness_report_gate_adds_no_eigensolve(lapack_calls):
     assert lapack_calls == {"eigh": 1, "eigvalsh": 1, "svd": 1}
 
 
+@pytest.mark.parametrize("entry, expected", [
+    # the gate reads positivity from the eigh that concurrence needs anyway
+    (concurrence, {"eigh": 1, "eigvalsh": 0, "svd": 1}),
+    # the eigvalsh of rho^PT; positivity, which would take another, is not judged
+    (negativity, {"eigh": 0, "eigvalsh": 1, "svd": 0}),
+    (validate, {"eigh": 0, "eigvalsh": 1, "svd": 0}),
+], ids=["concurrence", "negativity", "validate"])
+def test_gate_adds_no_eigensolve(lapack_calls, entry, expected):
+    entry(werner(0.7))
+    assert lapack_calls == expected
+
+
 def test_sample_shots_makes_no_eigensolve(lapack_calls):
-    _distribution.cache_clear()  # so each table is built here
+    # the state rule is judged where a table is built: on a cache miss, one
+    # eigvalsh per (state, n); a cache hit solves nothing
+    _distribution.cache_clear()
     for n in (2, 3, 4):
         sample_shots(werner(0.7), n, SHOTS, seed=n)
-    assert lapack_calls == {"eigh": 0, "eigvalsh": 0, "svd": 0}
+    assert lapack_calls == {"eigh": 0, "eigvalsh": 3, "svd": 0}
+    for n in (2, 3, 4):
+        sample_shots(werner(0.7), n, SHOTS, seed=n + 3)
+    assert lapack_calls == {"eigh": 0, "eigvalsh": 3, "svd": 0}

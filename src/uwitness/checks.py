@@ -1,30 +1,28 @@
 """The paper's checkable claims, one function each.
 
 `uwitness --command verify` and tests/test_acceptance.py both run these; the
-callers choose the states, seeds and thresholds.  A check takes a (..., 4, 4)
-stack of states, plus an rng and a rotation count where the claim needs
-them, passes the whole stack to each layer in one call, and returns its
-worst deviation over the stack.  Only nondemolition, which compares dense
-4^n-dimensional copy stacks, loops over the states.
+callers choose the states, seeds and thresholds.  A check on states takes a
+(..., 4, 4) stack of them, plus an rng and a rotation count where the claim
+needs them, passes the whole stack to each layer in one call, and returns
+its worst deviation over the stack.  No check loops over the states.
 
 The operator claims (projector composition, the {1, 4} and {0, 2, 4}
 spectra with the seven projections, nondemolition) are about the two swap
-layers, and are stated on their basis permutations from
-collective.layer_permutation, the one definition of a layer: a layer L acts
-as L @ X = X[perm] and X @ L = X[:, perm].  Their premise, that each layer
-squares to the identity, is checked exactly on the index arrays.  No
-4^n-dimensional operator is multiplied or diagonalized here; the one dense
-4^n-dimensional matrix is the copy stack rho^(x)n (tensor_power).  The dense
-reference operators live in tests/test_collective.py (permutation_matrix),
-which checks these claims and the traces of uwitness.collective against
-them.  The runtime routes never import this module.
+layers and take no state.  They are stated on the layers' basis permutations
+from collective.layer_permutation, the one definition of a layer: a layer L
+acts as L @ X = X[perm] and X @ L = X[:, perm].  Their premise, that each
+layer squares to the identity, is checked exactly on the index arrays.  No
+4^n-dimensional operator is multiplied or diagonalized here, and no copy
+stack rho^(x)n is built.  The dense reference operators and copy stacks
+live in tests/test_collective.py (permutation_matrix), which checks these
+claims and the traces of uwitness.collective against them.  The runtime
+routes never import this module.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import reduce
 
 import numpy as np
 
@@ -45,13 +43,6 @@ def _worst(x) -> float:
     return float(np.max(x))
 
 
-def tensor_power(m: np.ndarray, n: int) -> np.ndarray:
-    """n-fold tensor power of a matrix, left factor most significant."""
-    if n < 1:
-        raise ValueError(f"tensor power needs n >= 1, got {n}")
-    return reduce(np.kron, [m] * n)
-
-
 def _layers(n: int) -> tuple:
     """(L1, L2) on n copies as basis permutations, after checking the
     premise of every operator claim: each layer squares to the identity."""
@@ -60,6 +51,25 @@ def _layers(n: int) -> tuple:
         if not np.array_equal(perm[perm], np.arange(len(perm))):
             raise ValueError(f"the stage-{stage} layer on {n} copies does not square to the identity")
     return layers
+
+
+def _composed_projectors(n: int, stage: int) -> tuple:
+    """(P+, P-), the stage's parity projectors on n copies as they are
+    measured: composed pair by pair from the two-qubit swap projectors
+    (I +/- S)/2 in _LAYER_PAIRS order.
+
+    The pairs act on disjoint qubits, so a new pair keeps the parity exactly
+    when its own is even: even, odd = even P+ + odd P-, even P- + odd P+,
+    where X (I +/- S)/2 = (X +/- X[:, s])/2 is a column gather.  Every entry
+    is a multiple of 1/8, so the composition is exact.
+    """
+    even = np.eye(4 ** n)
+    odd = np.zeros_like(even)
+    for pair in _LAYER_PAIRS[(n, stage)]:
+        s = _swap_permutation(n, (pair,))
+        even, odd = ((even + even[:, s]) / 2 + (odd - odd[:, s]) / 2,
+                     (even - even[:, s]) / 2 + (odd + odd[:, s]) / 2)
+    return even, odd
 
 
 def _cycle_spectrum(n: int) -> dict:
@@ -103,25 +113,13 @@ def moment_routes(batch) -> float:
 
 def projector_composition() -> float:
     """max |P - (I +/- L)/2| over the parity projectors P of both stages on
-    2-4 copies, L being the stage's layer.
-
-    P is composed pair by pair from the two-qubit swap projectors
-    (I +/- S)/2, the operationally measurable pieces, in _LAYER_PAIRS order.
-    The pairs act on disjoint qubits, so a new pair keeps the parity exactly
-    when its own is even: even, odd = even P+ + odd P-, even P- + odd P+,
-    where X (I +/- S)/2 = (X +/- X[:, s])/2 is a column gather.  Every entry
-    is a multiple of 1/8, so the two forms agree exactly.
+    2-4 copies (_composed_projectors), L being the stage's layer; exactly 0.
     """
     dev = 0.0
     for n in COPY_COUNTS:
         eye = np.eye(4 ** n)
         for stage, layer in enumerate(_layers(n), 1):
-            even, odd = eye, np.zeros_like(eye)
-            for pair in _LAYER_PAIRS[(n, stage)]:
-                s = _swap_permutation(n, (pair,))
-                even, odd = ((even + even[:, s]) / 2 + (odd - odd[:, s]) / 2,
-                             (even - even[:, s]) / 2 + (odd + odd[:, s]) / 2)
-            for sign, proj in ((1, even), (-1, odd)):
+            for sign, proj in zip((1, -1), _composed_projectors(n, stage)):
                 dev = max(dev, np.abs(proj - (eye + sign * eye[:, layer]) / 2).max())
     return dev
 
@@ -135,27 +133,24 @@ def spectra_and_count() -> tuple:
     return s3, s4, 2 + len(s3) + len(s4)
 
 
-def nondemolition(batch) -> float:
-    """Stage-1 parity is nondemolition on 2-4 copies: the symmetrized copy
-    stack sym = (R + L R L)/2 of R = rho^(x)n commutes with the stage-1 layer
-    L, and each stage-1 projector P = (I +/- L)/2 gives P (sym - R) P = 0.
-    Returns the larger residual.
+def nondemolition() -> float:
+    """Stage-1 parity is nondemolition on 2-4 copies, for every state: max
+    |L P -/+ P| and |P L -/+ P| over the stage-1 projectors P+ and P- as
+    they are measured (_composed_projectors), L being the stage-1 layer;
+    exactly 0.
 
-    L acts as its basis permutation p (L X = X[p], X L = X[:, p]), so
-    P X P = (Y +/- Y[:, p])/2 with Y = (X +/- X[p])/2: two gathers that add
-    the same two terms per entry as the dense product does.  Only R is dense.
+    With L^2 = I (_layers) and L P = P L = +/-P, the symmetrized stack
+    sym = (X + L X L)/2 of any X, the copy stack rho^(x)n included, obeys
+        L sym = (L X + X L)/2 = sym L,
+        P (sym - X) P = (P L X L P - P X P)/2 = (P X P - P X P)/2 = 0.
+    L acts as its basis permutation p, so L P = P[p] and P L = P[:, p] are
+    exact gathers.
     """
     dev = 0.0
     for n in COPY_COUNTS:
         p, _ = _layers(n)
-        for rho in np.reshape(batch, (-1, 4, 4)):
-            rn = tensor_power(np.asarray(rho, dtype=complex), n)
-            sym = 0.5 * (rn + rn[p][:, p])
-            dev = max(dev, np.abs(sym[p] - sym[:, p]).max())
-            diff = sym - rn
-            for sign in (1, -1):
-                half = (diff + sign * diff[p]) / 2
-                dev = max(dev, np.abs((half + sign * half[:, p]) / 2).max())
+        for sign, proj in zip((1, -1), _composed_projectors(n, 1)):
+            dev = max(dev, np.abs(proj[p] - sign * proj).max(), np.abs(proj[:, p] - sign * proj).max())
     return dev
 
 

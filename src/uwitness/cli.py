@@ -193,7 +193,7 @@ def _verify_suites(kind: str, samples: int, seed: int):
     yield ("observable spectra and projection count", f"n=3 {list(s3)}, n=4 {list(s4)}, count {count}",
            (s3, s4, count) == ((1.0, 4.0), (0.0, 2.0, 4.0), 7))
     yield max_dev("stage-1 parity is nondemolition on the symmetrized stack",
-                  checks.nondemolition(batch[: max(1, samples // 10)]), 1e-12)
+                  checks.nondemolition(), 1e-12)
     yield max_dev("invariant combinations reproduce the moments",
                   checks.invariant_route(batch), 1e-10)
     yield max_dev("invariants unchanged under local unitaries",

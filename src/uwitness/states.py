@@ -53,8 +53,11 @@ def _require_state(rho, solver):
         # before rho - rho^dag, where inf - inf would make numpy warn
         raise ValueError(f"non-finite entry in {_position(~finite.all(axis=(-2, -1))) or 'the matrix'}")
     spectrum = None if solver is None else solver(rho)
-    herm_dev = np.abs(rho - _dagger(rho)).max(axis=(-2, -1))
-    trace_dev = abs(_trace(rho) - 1.0)
+    # a finite matrix can still have a margin past the float range: it reads
+    # inf, and numpy does not warn first
+    with np.errstate(over="ignore"):
+        herm_dev = np.abs(rho - _dagger(rho)).max(axis=(-2, -1))
+        trace_dev = abs(_trace(rho) - 1.0)
     invalid = (herm_dev > HERMITICITY_ATOL) | (trace_dev > TRACE_ATOL)
     if spectrum is not None:  # eigh returns (eigenvalues, eigenvectors), eigvalsh the eigenvalues
         min_eig = (spectrum[0] if isinstance(spectrum, tuple) else spectrum)[..., 0]

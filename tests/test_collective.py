@@ -173,6 +173,18 @@ class TestParityProjectors:
                 for sign, composed in ((1, even), (-1, odd)):
                     assert np.abs(composed - (eye + sign * layer) / 2.0).max() == 0.0
 
+    def test_a_broken_pairwise_composition_fails_the_claims(self, monkeypatch):
+        # the stage-1 projector on 3 copies without its (b, 2, 3) swap is no
+        # longer (I +/- L)/2, so L no longer maps it to +/- itself.  Patch a
+        # copy: layer_permutation reads the dict itself, so an in-place edit
+        # would change the layer too
+        pairs = dict(checks_module._LAYER_PAIRS)
+        pairs[(3, 1)] = pairs[(3, 1)][:1]
+        monkeypatch.setattr(checks_module, "_LAYER_PAIRS", pairs)
+        assert checks_module.nondemolition() == 1.0
+        assert checks_module.projector_composition() == 0.5
+        assert len(uwitness.collective._LAYER_PAIRS[(3, 1)]) == 2  # the layer is untouched
+
     def test_projector_algebra(self):
         for n in COPY_COUNTS:
             for stage in (1, 2):
@@ -255,7 +267,7 @@ class TestObservable:
 
         monkeypatch.setattr(checks_module, "layer_permutation", broken)
         for claim in (checks_module.spectra_and_count, checks_module.projector_composition,
-                      lambda: checks_module.nondemolition(MAX_MIXED)):
+                      checks_module.nondemolition):
             with pytest.raises(ValueError, match="stage-1 layer on 3 copies does not square"):
                 claim()
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from uwitness.checks import tensor_power
 from uwitness.linalg import partial_transpose
 
 from test_collective import permutation_matrix
@@ -11,17 +10,6 @@ def random_state(rng):
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
-
-
-def test_tensor_power_shapes_and_values():
-    rng = np.random.default_rng(1)
-    rho = random_state(rng)
-    r3 = tensor_power(rho, 3)
-    assert r3.shape == (64, 64)
-    assert abs(np.trace(r3) - 1.0) < 1e-12
-    assert np.allclose(r3, np.kron(np.kron(rho, rho), rho))
-    with pytest.raises(ValueError):
-        tensor_power(rho, 0)
 
 
 def test_partial_transpose_identity_fixed_point():

@@ -70,6 +70,18 @@ def test_witness_report_rejects_an_unnormalised_state(scale):
             witness_report(scale * werner(0.5))
 
 
+@pytest.mark.parametrize("entry", [validate, witness_report, negativity, concurrence, checks.witness_det],
+                         ids=["validate", "witness_report", "negativity", "concurrence", "witness_det"])
+def test_an_overflowing_trace_margin_reads_inf_without_a_warning(entry):
+    # every entry is finite, but the trace 4e308 is past the float range; an
+    # overflow warning from numpy, raised as an error, would replace the
+    # ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape("invalid density matrix: trace differs from 1 by inf")):
+            entry(1e308 * np.eye(4))
+
+
 def test_witness_report_names_the_first_non_state_as_validate_does():
     stack = StateSampler("hs", 107).sample(6)
     stack[2] *= 1.5

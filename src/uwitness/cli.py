@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of random states (default: 100)")
     p.add_argument("--shots", type=int, help="total shot budget for simulate")
     p.add_argument("--seed", type=int,
-                   help="RNG seed; required for scatter and simulate")
+                   help="nonnegative RNG seed; required for scatter and simulate")
     p.add_argument("--out", help="output path (default: stdout)")
     return p
 
@@ -161,7 +161,10 @@ def cmd_simulate(args) -> tuple:
         raise UsageError(f"shot budget {args.shots} starves a moment: n = 2, 3, 4 need a shot each")
 
     *record_seeds, bootstrap_seed = _derived_seeds(seed, len(COPY_COUNTS) + 1)
-    records = [sample_shots(rho, n, alloc[k], record_seeds[k]) for k, n in enumerate(COPY_COUNTS)]
+    try:
+        records = [sample_shots(rho, n, alloc[k], record_seeds[k]) for k, n in enumerate(COPY_COUNTS)]
+    except ValueError as exc:  # rho passed validate: a share of --shots past the count bound
+        raise UsageError(str(exc)) from None
     est = estimate(records, seed=bootstrap_seed)
     truth = witness_value(moments_direct(rho))
     doc = {
@@ -219,7 +222,10 @@ def cmd_verify(args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"argument --seed: must be >= 0 (numpy seeds are nonnegative), got {args.seed}")
     handler = {
         "report": cmd_report,
         "scatter": cmd_scatter,

@@ -9,8 +9,9 @@ The witness estimate plugs the three empirical moments into the witness
 polynomial.  Its percentile bootstrap redraws each moment as
 (2k - N)/N with k ~ Binomial(N, (c++ + c--)/N): the moment depends on the
 even-parity count c++ + c-- alone, and that count is binomial under the
-multinomial resample.  The interval's two percentiles are read from one
-partition of the resampled witnesses, bit for bit np.quantile's.
+multinomial resample.  The interval's ends are order statistics of the R
+resampled witnesses, the ceil(0.025 R)-th and ceil(0.975 R)-th smallest
+(np.quantile's inverted_cdf rule), read from one partition.
 Everything is deterministic under a fixed seed.
 sample_shots samples exactly the states states.validate accepts: the state
 rule is judged, with validate's message, when a distribution is built.
@@ -38,8 +39,8 @@ class ShotRecord:
 
     counts follows OutcomeTable.as_vector() order: (+,+), (+,-), (-,+), (-,-).
     A hand-built record is checked like a drawn one: ValueError unless
-    shots is an integer >= 1 (no bool, no float) and the counts are four
-    nonnegative integers summing to shots.
+    shots is an integer in [1, 2**53] (no bool, no float) and the counts
+    are four nonnegative integers summing to shots.
     """
 
     n_copies: int
@@ -79,11 +80,13 @@ class WitnessEstimate:
 
 
 def _require_count(name, value):
-    """ValueError naming value unless it is an integer >= 1 (no bool, no float)."""
+    """ValueError naming value unless it is an integer in [1, 2**53], where float64 is exact."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
+    if value > 2**53:
+        raise ValueError(f"{name} must be <= 2**53, got {value}")
 
 
 def sample_shots(rho: np.ndarray, n: int, shots: int, seed: int) -> ShotRecord:
@@ -96,8 +99,8 @@ def sample_shots(rho: np.ndarray, n: int, shots: int, seed: int) -> ShotRecord:
     fire.  The checked, normalised distribution of each (state, n) is cached
     (the last 64), keyed on the state's complex entries, so a state sampled
     again is not tabled again and a state edited in place gets its own
-    table.  Raises ValueError unless ``shots`` is a positive integer, ``n``
-    one of 2, 3, 4, and ``rho`` one matrix (not a stack) that validate
+    table.  Raises ValueError unless ``shots`` is an integer in [1, 2**53],
+    ``n`` one of 2, 3, 4, and ``rho`` one matrix (not a stack) that validate
     accepts, with validate's message.
     """
     _require_count("shots", shots)
@@ -141,9 +144,9 @@ def estimate(records, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> Witn
     The bootstrap redraws each record's moment ``resamples`` times as
     (2k - N)/N with k ~ Binomial(N, (c++ + c--)/N), the law of the moment
     under a multinomial resample of the counts (the moment depends on the
-    even-parity count alone), and takes the 2.5% / 97.5% quantiles of the
-    recomputed witness values.  Raises ValueError unless ``resamples`` is an
-    integer >= 1.
+    even-parity count alone).  The interval's ends are the ceil(0.025 R)-th
+    and ceil(0.975 R)-th smallest of the R = ``resamples`` recomputed witness
+    values.  Raises ValueError unless ``resamples`` is an integer in [1, 2**53].
     """
     by_n = {}
     for r in records:
@@ -181,21 +184,9 @@ def estimate(records, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> Witn
 
 
 def _interval(values: np.ndarray) -> tuple:
-    """np.quantile(values, (0.025, 0.975)) of a finite 1-d array, bit for bit,
-    as two Python floats: one partition at the (at most four) order statistics
-    numpy's default linear rule reads, then its interpolation, in place of
-    quantile's general machinery, which costs about five times as much."""
-    top = len(values) - 1
-    cuts = []
-    for q in _INTERVAL:
-        v = top * q
-        i = math.floor(v)
-        # numpy's neighbours: past the last index both are the last value, t = v - (-1)
-        cuts.append((i, i + 1, v - i) if v < top else (top, top, v + 1))
-    part = np.partition(values, sorted({k for cut in cuts for k in cut[:2]}))
-    bounds = []
-    for i, j, t in cuts:
-        a, b = float(part[i]), float(part[j])
-        # numpy's _lerp: from the nearer end, so t = 0 gives a and t = 1 gives b exactly
-        bounds.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
-    return tuple(bounds)
+    """The percentile interval of R resampled values as two Python floats:
+    for each q in _INTERVAL the ceil(q R)-th smallest value (np.quantile's
+    inverted_cdf rule, no interpolation), both read from one partition."""
+    ranks = [math.ceil(q * len(values)) - 1 for q in _INTERVAL]
+    part = np.partition(values, ranks)
+    return tuple(float(part[k]) for k in ranks)

@@ -232,7 +232,7 @@ def state_to_dict(rho) -> dict:
 
 
 def state_from_dict(d: dict) -> np.ndarray:
-    """Inverse of state_to_dict.  Raises ValueError on malformed input."""
+    """Inverse of state_to_dict.  ValueError unless dim is 4 and re, im are lists of 16 numbers."""
     try:
         dim = d["dim"]
         re = d["re"]
@@ -241,8 +241,10 @@ def state_from_dict(d: dict) -> np.ndarray:
         raise ValueError(f"state dict is missing field: {exc}") from None
     if dim != 4:
         raise ValueError(f"only dim = 4 states are supported, got {dim}")
-    if len(re) != 16 or len(im) != 16:
-        raise ValueError(f"re and im must have 16 entries, got {len(re)} and {len(im)}")
+    for name, part in (("re", re), ("im", im)):
+        if not (isinstance(part, list) and len(part) == 16
+                and all(isinstance(x, float) or type(x) is int and abs(x) <= 1e308 for x in part)):
+            raise ValueError(f"{name} must be a list of 16 entries, each a float or an int of at most 1e308, got {part!r}")
     return (np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)).reshape(4, 4)
 
 

@@ -60,6 +60,13 @@ class TestReport:
         assert code == 2
         assert "could not read" in err
 
+    def test_state_file_without_entry_lists_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "scalars.json"
+        path.write_text('{"dim": 4, "re": 5, "im": 5}')
+        code, _, err = run(capsys, "--command", "report", "--state", str(path))
+        assert code == 2
+        assert "could not read state file" in err and "re must be a list of 16 entries" in err
+
     def test_unknown_name_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "--command", "report", "--state", "bogus")
         assert code == 2
@@ -287,11 +294,11 @@ class TestSimulate:
 
     @pytest.mark.parametrize("state, shots, seed, digest, interval", [
         ("werner:0.7", "30000", "7",
-         "5489ce80fbb40231bb21e007bbc12cb2d156f5da7cdf99a027dfa172a13c502f",
-         (-0.028740338999999997, -0.012439939958333342)),
+         "a0c5a2e7b53f68686e715f0aa87c9b670c1fc8007e9410ea01bbad13bf2ab2a0",
+         (-0.028860355000000004, -0.012440155000000008)),
         ("werner:0.35", "300000", "3",
-         "4bc30bbd788f83cf4e7a2562741dc5ba5b52b92f0b9666c41eed5b7ac48adbef",
-         (-0.0015771629766666794, 0.004196636129583344)),
+         "f81785b64437b8aafdfe11d8a0fb0e97086a740f419e4f9b055121d30cb72645",
+         (-0.001619182616666659, 0.004196600200000011)),
     ], ids=["werner-0.7", "werner-0.35"])
     def test_frozen_output(self, capsys, state, shots, seed, digest, interval):
         # the whole stdout, byte for byte: counts, moments, witness and interval
@@ -302,6 +309,13 @@ class TestSimulate:
         assert (doc["ci_low"], doc["ci_high"]) == interval
         assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
+    def test_shot_share_past_2_to_53_is_a_usage_error(self, capsys):
+        # a third of 3e19 shots is past the 2**53 counts float64 holds exactly
+        code, out, err = run(capsys, "--command", "simulate", "--state", "werner:0.7",
+                             "--shots", "30000000000000000000", "--seed", "1")
+        assert code == 2 and out == ""
+        assert err == "uwitness: error: shots must be <= 2**53, got 10000000000000000000\n"
+
     def test_shots_and_seed_required(self, capsys):
         code, _, err = run(
             capsys, "--command", "simulate", "--state", "singlet", "--seed", "1"
@@ -311,6 +325,16 @@ class TestSimulate:
             capsys, "--command", "simulate", "--state", "singlet", "--shots", "100"
         )
         assert code == 2 and "--seed" in err
+
+
+@pytest.mark.parametrize("command", ["scatter", "simulate", "verify"])
+def test_negative_seed_is_a_usage_error(capsys, command):
+    # numpy seeds only from nonnegative integers; the flag is judged before any command runs
+    with pytest.raises(SystemExit) as exc:
+        main(["--command", command, "--state", "singlet", "--samples", "5", "--shots", "3000", "--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: must be >= 0" in err and "got -1" in err
 
 
 def test_unknown_command_rejected_by_argparse(capsys):

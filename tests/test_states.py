@@ -176,6 +176,24 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="16 entries"):
             state_from_dict({"dim": 4, "re": [0.0] * 15, "im": [0.0] * 16})
 
+    @pytest.mark.parametrize("field, value", [
+        ("re", 5), ("im", 5.0), ("re", None), ("im", "0" * 16), ("re", {"0": 1.0}),
+        ("re", [0.0] * 15 + [None]), ("im", [0.0] * 15 + [True]), ("re", [0.0] * 15 + ["0.25"]),
+        ("im", [0.0] * 15 + [[0.0]]), ("re", tuple([0.25] * 16)), ("re", [0.0] * 15 + [10**400]),
+    ], ids=["int", "float", "null", "string", "object", "null-entry", "bool-entry", "string-entry",
+            "list-entry", "tuple", "int-past-float-range"])
+    def test_entries_must_be_lists_of_16_numbers(self, field, value):
+        d = {"dim": 4, "re": [0.25] * 16, "im": [0] * 16}
+        d[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be a list of 16 entries, each a float or an int of at most 1e308"):
+            state_from_dict(d)
+
+    def test_int_entries_are_numbers(self):
+        rho = state_from_dict({"dim": 4, "re": [1, 0, 0, 0, 0] * 3 + [1], "im": [0] * 15 + [-10**308]})
+        expected = np.eye(4, dtype=complex)
+        expected[3, 3] -= 1e308j
+        assert rho.dtype == complex and np.array_equal(rho, expected)
+
     def test_file_is_plain_json(self, tmp_path):
         path = tmp_path / "s.json"
         save_state(path, werner(0.5))

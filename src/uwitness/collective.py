@@ -28,7 +28,7 @@ P_y = (I + y L1)/2 and Q_x = (I + x L2)/2, and since L1 and L2 square to I,
             = [2 t(I) + 2y t(L1) + x t(L2) + xy (t(L1 L2) + t(L2 L1))
                + x t(L1 L2 L1)] / 8,
 
-with t(I) = (tr rho)^n = 1 for a state; (t(I) + y t(L1))/2 is the stage-1
+with t(I) = (tr rho)^n, 1 for a state; (t(I) + y t(L1))/2 is the stage-1
 probability of outcome y.  The cycle route is t(L1 L2) and the
 squared-sum route uses (L1 + L2)^2 = 2I + L1 L2 + L2 L1.
 
@@ -38,15 +38,17 @@ the operator claims of uwitness.checks both read it.  Since
 tr[pi R] = sum_src R[src, pi(src)] and R = rho^(x)n factorizes over the
 copies, t(pi) is a sum over the 4^n basis states of a product of n entries
 of rho, one per copy.  Which entry copy k contributes to basis state src
-depends on pi alone, so the layer products (words) a route needs are
-compiled once per (n, words) into a cached gather table (_trace_indices).  A
-call gathers every factor of every word in one step and reduces them with
-one einsum, which multiplies the n copies and sums over the basis states:
-one einsum per route call, not one per trace.  A stack is gathered in blocks
-of _TRACE_BLOCK states, so the gather stays small whatever the size of the
-stack.  No 4^n-dimensional operator is built here.  Every route takes rho of
-shape (..., 4, 4) and broadcasts over the leading axes; one state gives
-Python floats.
+depends on pi alone.  Copies are taken in pairs: a call builds the pair
+table rho_i rho_j (256 products, one multiply), and the layer products
+(words) a route needs are compiled once per (n, words) into a cached table
+of indices into it (_trace_indices); the last copy at odd n reads rho
+itself.  A call gathers the factors of all its words at once, multiplies
+them once per further factor (none at n = 2, one at n = 3 and 4) and sums
+over the basis states: no einsum, and no call per trace.  A stack is traced
+in blocks of _TRACE_BLOCK states, so the gathered factors stay small
+whatever the size of the stack.  No 4^n-dimensional operator is built here.
+Every route takes rho of shape (..., 4, 4) and broadcasts over the leading
+axes; one state gives Python floats.
 
 The dense 4^n-dimensional operators (swap layers, parity projectors, the
 squared-sum observable) exist only as the test suite's reference,
@@ -61,7 +63,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import _pair_tensor, _result
+from .linalg import _result
 from .witness import MomentSet
 
 COPY_COUNTS = (2, 3, 4)
@@ -75,10 +77,6 @@ _LAYER_PAIRS = {
     (4, 1): (("a", 1, 2), ("a", 3, 4), ("b", 2, 3)),
     (4, 2): (("b", 1, 2), ("b", 3, 4), ("a", 2, 3)),
 }
-
-# outcome index 0 <-> parity +1, index 1 <-> parity -1
-OUTCOME_SIGNS = (1, -1)
-
 
 def _check_n(n: int, allowed: tuple = COPY_COUNTS):
     # 2.0 == 2, but a float is no copy count: it would fail in the bit shifts
@@ -123,9 +121,9 @@ def layer_permutation(n: int, stage: int) -> np.ndarray:
     return _swap_permutation(n, _LAYER_PAIRS[(n, stage)])
 
 
-# states of a stack gathered at once: the gather holds 16 x n x words x 4^n
-# complex entries (1.5 MB for the six table words at n = 4) whatever the
-# size of the stack
+# states of a stack traced at once: the two gathered pair factors hold
+# 2 x 16 x words x 4^n complex entries (about 0.8 MB for the six table words
+# at n = 4) whatever the size of the stack
 _TRACE_BLOCK = 16
 
 # the six layer products of the outcome table, in the order p(x, y) reads them
@@ -134,7 +132,7 @@ _TABLE_WORDS = ((), (1,), (2,), (1, 2), (2, 1), (1, 2, 1))
 
 @lru_cache(maxsize=None)
 def _trace_indices(n: int, words: tuple) -> np.ndarray:
-    """Gather table idx[k, w, src] for the permutation traces of `words`,
+    """Gather table idx[f, w, src] for the permutation traces of `words`,
     word w naming the layer product pi_w = layer(w[0]) @ layer(w[1]) @ ...;
     cached and read-only.
 
@@ -142,19 +140,25 @@ def _trace_indices(n: int, words: tuple) -> np.ndarray:
     layer_permutation(n, stage), and tr[pi rho^(x)n] = sum_src R[src, p[src]]
     with R = rho^(x)n, a product over the copies of rho[d_k(src), d_k(p[src])],
     d_k being the base-4 digit of copy k (the bits of its qubits a_k, b_k).
-    idx[k, w, src] is the index of that entry in rho.reshape(16).  A trace
-    is at most 4^4 = 256 products of n factors, so an einsum call per trace
-    spent more on parsing and set-up than on arithmetic; with this table a
-    route gathers the factors of all its words at once and pays for one
-    einsum.
+    Let e_k = 4 d_k(src) + d_k(p[src]) be the index of that entry in
+    rho.reshape(16).  Copies 2f and 2f + 1 share one factor, the entry
+    idx[f, w, src] = 16 e_2f + e_2f+1 of the pair table rho_i rho_j (flat,
+    256 entries); for odd n the last row is e_n-1 itself, an entry of rho.
+    So a trace is 4^n products of n // 2 + n % 2 gathered factors: a sum of
+    pair entries at n = 2, a pair entry times an entry of rho at n = 3 and
+    the product of two pair entries at n = 4.  A trace is at most 256 terms,
+    so a route gathers the factors of all its words at once rather than
+    paying a call per trace.
     """
     digits = (np.arange(4**n) >> 2 * np.arange(n - 1, -1, -1)[:, None]) & 3  # digits[k, src]
-    idx = np.empty((n, len(words), 4**n), dtype=np.intp)
+    entries = np.empty((n, len(words), 4**n), dtype=np.intp)
     for w, stages in enumerate(words):
         p = np.arange(4**n)
         for stage in stages:
             p = p[layer_permutation(n, stage)]
-        idx[:, w] = 4 * digits + digits[:, p]
+        entries[:, w] = 4 * digits + digits[:, p]
+    # copies (1, 2) and (3, 4) into the pair table, then an odd last copy as is
+    idx = np.concatenate([16 * entries[0:n - 1:2] + entries[1::2], entries[n - n % 2:]])
     idx.setflags(write=False)
     return idx
 
@@ -165,22 +169,28 @@ def _permutation_traces(rho, n: int, words: tuple) -> tuple:
     axes for a stack.
 
     A stack is traced in blocks of _TRACE_BLOCK states and a single state as
-    a block of one, through the same einsum, so a state's traces do not
-    depend on the stack it sits in.  The einsum multiplies without numpy's
-    floating-point checks, so a non-finite input gives NaN, not a warning.
+    a block of one, through the same products, so a state's traces do not
+    depend on the stack it sits in.  Each block builds its pair table with
+    one multiply, gathers the factors of every word from it and multiplies
+    them once per further factor.  A NaN entry passes through to NaN traces
+    without a warning; an inf entry or an overflowing product gives numpy's
+    RuntimeWarning, as the matmul of moments_direct does.
     """
-    r = _pair_tensor(np.asarray(rho, dtype=complex))
-    lead = r.shape[:-4]
+    r = np.asarray(rho, dtype=complex)
+    if r.shape[-2:] != (4, 4):  # linalg._pair_tensor's rule, without its asarray and reshape
+        raise ValueError(f"expected a (..., 4, 4) two-qubit matrix, got shape {r.shape}")
+    lead = r.shape[:-2]
     r = r.reshape(-1, 16)
     idx = _trace_indices(n, words)
-    subscripts = ",".join(["bws"] * n) + "->wb"
-    traces = np.empty((len(words), len(r)))
+    traces = np.empty((len(r), len(words)), dtype=complex)
     for start in range(0, len(r), _TRACE_BLOCK):
-        # factors[k] is (block, words, 4^n); freed before the next block is gathered
-        factors = r[start:start + _TRACE_BLOCK].take(idx, axis=1).swapaxes(0, 1)
-        traces[:, start:start + _TRACE_BLOCK] = np.einsum(subscripts, *factors).real
-        del factors
-    traces = traces.reshape((len(words),) + lead)
+        block = r[start:start + _TRACE_BLOCK]
+        pairs = (block[:, :, None] * block[:, None, :]).reshape(-1, 256)
+        terms = pairs.take(idx[0], axis=1)  # (block, words, 4^n)
+        for f in range(1, len(idx)):
+            terms *= (pairs if f < n // 2 else block).take(idx[f], axis=1)
+        np.add.reduce(terms, -1, out=traces[start:start + _TRACE_BLOCK])
+    traces = traces.real.T.reshape((len(words),) + lead)
     return tuple(traces if lead else traces.tolist())
 
 
@@ -234,19 +244,23 @@ def outcome_probabilities(rho: np.ndarray, n: int) -> OutcomeTable:
     """Sequential probabilities tr[Q_x P_y rho^(x)n P_y Q_x].
 
     Stage 1 (P) is measured first; its post-measurement branches are then
-    measured with stage 2 (Q).  The four probabilities sum to one.  They are
-    evaluated from six permutation traces (see the module docstring).
+    measured with stage 2 (Q).  The four probabilities sum to
+    t(I) = (tr rho)^n, one for a state.  They are evaluated from six
+    permutation traces (see the module docstring).
     """
     _check_n(n)
     t_id, t1, t2, t12, t21, t121 = _permutation_traces(rho, n, _TABLE_WORDS)
-    probs = np.empty(np.shape(t_id) + (2, 2))
-    for yi, y in enumerate(OUTCOME_SIGNS):
-        # grouped so that outcomes the state forbids (e.g. the singlet's) come out exactly 0
-        stage1 = t_id + y * t1
-        stage2 = (t2 + t121) + y * (t12 + t21)
-        for xi, x in enumerate(OUTCOME_SIGNS):
-            probs[..., xi, yi] = (2.0 * stage1 + x * stage2) / 8.0
-    return OutcomeTable(n_copies=n, probabilities=probs)
+    # grouped so that outcomes the state forbids (e.g. the singlet's) come out
+    # exactly 0: stage1 = t(I) + y t(L1), stage2 = (t(L2) + t(L1 L2 L1)) +
+    # y (t(L1 L2) + t(L2 L1)) and p(x, y) = (2 stage1 + x stage2) / 8, with
+    # rows x and columns y (index 0 <-> +1); a stack's axes go in front
+    stage1_plus, stage1_minus = t_id + t1, t_id - t1
+    stage2_plus, stage2_minus = (t2 + t121) + (t12 + t21), (t2 + t121) - (t12 + t21)
+    probs = np.array([
+        [(2.0 * stage1_plus + stage2_plus) / 8.0, (2.0 * stage1_minus + stage2_minus) / 8.0],
+        [(2.0 * stage1_plus - stage2_plus) / 8.0, (2.0 * stage1_minus - stage2_minus) / 8.0],
+    ])
+    return OutcomeTable(n_copies=n, probabilities=probs.transpose(*range(2, probs.ndim), 0, 1))
 
 
 def moments_collective(rho: np.ndarray) -> MomentSet:

@@ -12,6 +12,10 @@ the partially transposed state, hence the witness:
 
     moments_from_invariants(makhlin(decompose(rho)).y)
 
+The moment formulas hold for unit trace only: they take T_00 = tr rho = 1,
+so on c * rho this route does not give c^n pi_n as the direct and collective
+routes do (2 * werner(0.6) gives pi2 = 1.33, not 4 x 0.52 = 2.08).
+
 Every function takes rho of shape (..., 4, 4) and broadcasts over the
 leading axes: T is then (..., 4, 4), and each invariant is an array of the
 leading shape (a Python float for one state).
@@ -104,6 +108,10 @@ def moments_from_invariants(y) -> MomentSet:
         4  pi2 = 1 + x1
         16 pi3 = 1 + 3 x1 + 6 x2
         64 pi4 = 1 + 6 x1 + 24 x2 + x1^2 + 2 x3 + 4 x4
+
+    The constant terms are T_00 = tr rho = 1: the formulas assume unit trace,
+    and y carries no trace, so a matrix of another trace gets wrong moments
+    rather than an error.
     """
     y1, y2, y3, y4, y5, y6 = y
     x1 = y1 + y3 + y4

@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -23,7 +24,8 @@ from uwitness.collective import (
     outcome_probabilities,
 )
 from uwitness.linalg import partial_transpose
-from uwitness.states import phi_plus, random_mixed_state, random_pure_state, singlet, werner
+from uwitness.states import (phi_plus, product_state, random_mixed_state, random_pure_state, singlet,
+                              werner)
 from uwitness.witness import moments_direct
 
 MAX_MIXED = np.eye(4) / 4
@@ -232,6 +234,21 @@ class TestMomentRoutes:
         with pytest.raises(ValueError):
             moment_via_observable(MAX_MIXED, 2)
 
+    def test_direct_and_collective_routes_are_homogeneous(self):
+        # on c * rho both give c^n pi_n, exactly for a power of two (every term
+        # and partial sum scales without rounding); the invariants route
+        # assumes unit trace and is not checked here
+        rng = np.random.default_rng(37)
+        states = [werner(0.6), random_mixed_state(rng), random_pure_state(rng)]
+        for rho in states:
+            for route in (moments_direct, moments_collective):
+                base = route(rho).as_tuple()
+                for c, rtol in ((0.5, 0.0), (2.0, 0.0), (3.0, 1e-14)):
+                    scaled = route(c * rho).as_tuple()
+                    for n, b, v in zip(COPY_COUNTS, base, scaled):
+                        assert abs(v - c**n * b) <= rtol * c**n, (route.__name__, c, n)
+        assert abs(moments_direct(2.0 * werner(0.6)).pi2 - 4.0 * 0.52) < 1e-14
+
     def test_known_moment_values(self):
         assert abs(moment_cycle(singlet(), 3) - 0.25) < 1e-12
         assert abs(moment_cycle(werner(0.5), 3) - 0.15625) < 1e-12
@@ -420,23 +437,51 @@ class TestEngineAgainstDenseOracle:
 
     def test_gather_tables_follow_the_dense_words(self):
         # tr[W R] = sum_j R[j, q(j)], q(j) the row of the 1 in column j of W; the
-        # real traces cannot tell W from W^-1, so the tables are pinned entry by entry
+        # real traces cannot tell W from W^-1, so the tables are pinned entry by entry.
+        # Copies 2f and 2f + 1 read entry 16 e_2f + e_2f+1 of the flat pair table
+        # rho_i rho_j, and an odd last copy its entry e of rho.reshape(16)
         for n in COPY_COUNTS:
             digits = (np.arange(4**n) >> 2 * np.arange(n - 1, -1, -1)[:, None]) & 3  # base-4 digit of copy k
-            expected = np.empty((n, len(_TABLE_WORDS), 4**n), dtype=np.intp)
+            expected = np.empty((n // 2 + n % 2, len(_TABLE_WORDS), 4**n), dtype=np.intp)
             for w, word in enumerate(_TABLE_WORDS):
                 dense = reduce(np.matmul, [swap_layer(n, stage) for stage in word], np.eye(4**n))
-                expected[:, w] = 4 * digits + digits[:, dense.argmax(axis=0)]
+                entry = 4 * digits + digits[:, dense.argmax(axis=0)]  # entry of rho copy k reads
+                for f in range(n // 2):
+                    expected[f, w] = 16 * entry[2 * f] + entry[2 * f + 1]
+                if n % 2:
+                    expected[-1, w] = entry[-1]
             assert np.array_equal(_trace_indices(n, _TABLE_WORDS), expected), n
 
     def test_unnormalized_input_matches_oracle(self):
-        # t(I) = (tr rho)^n enters the table as it does the dense trace
+        # t(I) = (tr rho)^n enters the table as it does the dense trace, and
+        # the four probabilities sum to it
         rho = 2.0 * werner(0.6)
         for n in COPY_COUNTS:
             rn = kron_power(rho, n)
             p, q = parity_projector(n, 1, 1), parity_projector(n, 2, 1)
             dense = np.trace(q @ p @ rn @ p @ q).real
-            assert abs(outcome_probabilities(rho, n).probabilities[0, 0] - dense) < 1e-12
+            table = outcome_probabilities(rho, n).probabilities
+            assert abs(table[0, 0] - dense) < 1e-12
+            assert abs(table.sum() - 2.0**n) < 1e-12 * 2.0**n, n
+
+    def test_nan_passes_through_silently(self):
+        # filterwarnings = error: a warning here fails the test.  Every trace
+        # reads rho[0, 0]^n (the basis state 0 is fixed by every permutation)
+        rho = werner(0.6).astype(complex)
+        rho[0, 0] = np.nan
+        for n in COPY_COUNTS:
+            assert all(np.isnan(_permutation_traces(rho, n, _TABLE_WORDS))), n
+            assert np.isnan(outcome_probabilities(rho, n).probabilities).all(), n
+        assert np.isnan(moments_collective(rho).as_tuple()).all()
+
+    @pytest.mark.parametrize("bad", [np.diag([np.inf, 0.0, 0.0, 0.0]), 1e200 * np.eye(4)],
+                             ids=["inf", "overflow"])
+    def test_inf_and_overflow_warn_like_the_direct_route(self, bad):
+        with pytest.warns(RuntimeWarning):
+            moments_direct(bad)
+        for n in COPY_COUNTS:
+            with pytest.warns(RuntimeWarning):
+                _permutation_traces(bad, n, _TABLE_WORDS)
 
     def test_wrong_shape_rejected(self):
         for bad in (np.eye(3), np.eye(2), np.zeros(16), np.zeros((2, 8))):
@@ -456,3 +501,40 @@ class TestEngineAgainstDenseOracle:
         for module in (uwitness.collective, uwitness.witness, uwitness.invariants, uwitness.simulate):
             leaks = [name for name, obj in vars(module).items() if id(obj) in checks_objects]
             assert leaks == [], (module.__name__, leaks)
+
+
+def exact_table_traces(rho, n):
+    """Re t(pi_w) for the six table words in exact rational arithmetic: each
+    float entry of rho as a (re, im) pair of Fractions, each trace summed
+    term by term over the basis from the dense words of swap_layer."""
+    entry = [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in np.asarray(rho, dtype=complex)]
+    digits = [[(j >> 2 * (n - 1 - k)) & 3 for k in range(n)] for j in range(4**n)]
+
+    def times(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    traces = []
+    for word in _TABLE_WORDS:
+        q = reduce(np.matmul, [swap_layer(n, stage) for stage in word], np.eye(4**n)).argmax(axis=0)
+        terms = (reduce(times, [entry[digits[j][k]][digits[q[j]][k]] for k in range(n)]) for j in range(4**n))
+        traces.append(sum(term[0] for term in terms))
+    return traces
+
+
+class TestExactOracle:
+    # A term is a product of entries of modulus <= 1 with at most three complex
+    # roundings, and the <= 256 terms are summed pairwise, so a trace of a
+    # state lands within a few eps of its exact value; the worst here is
+    # 1.0 eps (werner 1/3 - 1e-9, t(I) at n = 4)
+    BOUND = 4 * np.finfo(float).eps
+
+    def test_table_traces_within_a_few_eps(self):
+        rng = np.random.default_rng(43)
+        states = [("singlet", singlet()), ("werner 1/3 - 1e-9", werner(1 / 3 - 1e-9)),
+                  ("werner 1/3 + 1e-9", werner(1 / 3 + 1e-9)), ("product", product_state(0.7)),
+                  ("hs", random_mixed_state(rng)), ("pure", random_pure_state(rng))]
+        for label, rho in states:
+            for n in COPY_COUNTS:
+                traces = _permutation_traces(rho, n, _TABLE_WORDS)
+                for word, got, exact in zip(_TABLE_WORDS, traces, exact_table_traces(rho, n)):
+                    assert abs(Fraction(got) - exact) <= self.BOUND, (label, n, word)

@@ -86,18 +86,23 @@ def test_stack_equals_per_state(name):
 
 @pytest.mark.parametrize("n", COPY_COUNTS)
 def test_collective_stack_across_gather_blocks(n):
-    # three full gather blocks and one state left over
+    # three full gather blocks and one state left over, flat and as a (7, 7)
+    # grid: a state's results do not depend on its stack, to the last bit
     stack = StateSampler("hs", 107).sample(3 * _TRACE_BLOCK + 1)
+    grid = stack.reshape(7, 7, 4, 4)
     routes = [lambda r: outcome_probabilities(r, n).probabilities, lambda r: moment_cycle(r, n)]
     if n >= 3:
         routes.append(lambda r: moment_via_observable(r, n))
     for fn in routes:
-        close(fn(stack), per_state(fn, stack))
+        single = per_state(fn, stack)
+        assert np.array_equal(fn(stack), single)
+        assert np.array_equal(fn(grid), single.reshape((7, 7) + single.shape[1:]))
 
 
 def test_outcome_table_memory_does_not_grow_with_the_stack():
     # the gather is blocked, so 1000 states at n = 4 stay within a few MB
-    # (unblocked it would hold 1000 x 4 x 6 x 256 complex entries, 98 MB)
+    # (unblocked, the two gathered pair factors would hold 2 x 1000 x 6 x 256
+    # complex entries, 49 MB)
     stack = StateSampler("hs", 108).sample(1000)
     tracemalloc.start()
     try:

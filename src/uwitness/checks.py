@@ -30,7 +30,7 @@ from .collective import (_LAYER_PAIRS, COPY_COUNTS, _swap_permutation, layer_per
                          moment_cycle, moment_via_observable, outcome_probabilities)
 from .invariants import apply_local_unitary, decompose, makhlin, moments_via_invariants
 from .linalg import partial_transpose
-from .states import _require_state, haar_unitary
+from .states import haar_unitary, validate
 from .witness import moments_direct, witness_report, witness_value
 
 BOUND_SLACK = 1e-9
@@ -39,8 +39,10 @@ BOUND_SLACK = 1e-9
 W_SLACK = 1e-14
 
 
-def _worst(x) -> float:
-    return float(np.max(x))
+def _worst(*deviations) -> float:
+    """The largest entry of the deviation arrays, each entry >= 0 or NaN:
+    NaN if any entry is, 0 for no state."""
+    return float(np.max([np.max(x, initial=0.0) for x in deviations]))
 
 
 def _layers(n: int) -> tuple:
@@ -99,16 +101,15 @@ def moment_routes(batch) -> float:
     """Largest pairwise gap between the direct, cycle, sequential-table and
     (n >= 3) observable moments for n = 2, 3, 4, or between a table's total
     probability and 1."""
-    dev = 0.0
+    devs = []
     for n, direct in zip(COPY_COUNTS, moments_direct(batch).as_tuple()):
         table = outcome_probabilities(batch, n)
         values = [direct, moment_cycle(batch, n), table.moment]
         if n >= 3:
             values.append(moment_via_observable(batch, n))
         values = np.stack(values)
-        dev = max(dev, _worst(values.max(axis=0) - values.min(axis=0)),
-                  _worst(np.abs(table.as_vector().sum(axis=-1) - 1.0)))
-    return dev
+        devs += [values.max(axis=0) - values.min(axis=0), np.abs(table.as_vector().sum(axis=-1) - 1.0)]
+    return _worst(*devs)
 
 
 def projector_composition() -> float:
@@ -157,7 +158,7 @@ def nondemolition() -> float:
 def invariant_route(batch) -> float:
     """max |direct - invariant-route moment| over pi2, pi3 and pi4."""
     pairs = zip(moments_direct(batch).as_tuple(), moments_via_invariants(batch).as_tuple())
-    return max(_worst(np.abs(a - b)) for a, b in pairs)
+    return _worst(*(np.abs(a - b) for a, b in pairs))
 
 
 def _invariant_values(rho) -> np.ndarray:
@@ -182,7 +183,7 @@ def witness_det(batch) -> float:
     """max |witness polynomial - det rho^PT|, the determinant taken as the
     product of the eigenvalues of the partial transpose; ValueError for a
     batch that validate would reject."""
-    batch = _require_state(batch, np.linalg.eigvalsh)[0]
+    batch = validate(batch)
     det = np.prod(np.linalg.eigvalsh(partial_transpose(batch)), axis=-1)
     return _worst(np.abs(witness_value(moments_direct(batch)) - det))
 
@@ -203,12 +204,12 @@ def corridor(batch) -> tuple:
     in_corridor), w, N, C and f(w) of the whole stack from one witness_report.
 
     The two worst values are the closest approach to an edge over the
-    entangled states (w > 0), -inf if there are none: a separable state
-    (w = N = C = 0) sits exactly on every edge and would always read 0.
+    states the report calls entangled, -inf if there are none: a separable
+    state (w = N = C = 0) sits exactly on every edge and would always read 0.
     """
     rep = witness_report(batch)
     w, lo, n, c = (np.asarray(x) for x in (rep.w, rep.lower_bound, rep.negativity, rep.concurrence))
-    entangled = w > 0
+    entangled = np.asarray(rep.entangled)
     slack = np.max(np.maximum(lo - n, n - c)[entangled], initial=-np.inf)
     upper = np.max((c ** 4 - w)[entangled], initial=-np.inf)
     inside = bool(np.all(in_corridor(w, lo, n, c)))

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .collective import COPY_COUNTS, _check_n, outcome_probabilities
-from .states import _require_state
+from .states import validate
 from .witness import witness_polynomial
 
 DEFAULT_RESAMPLES = 1000
@@ -39,8 +39,9 @@ class ShotRecord:
 
     counts follows OutcomeTable.as_vector() order: (+,+), (+,-), (-,+), (-,-).
     A hand-built record is checked like a drawn one: ValueError unless
-    shots is an integer in [1, 2**53] (no bool, no float) and the counts
-    are four nonnegative integers summing to shots.
+    n_copies is one of 2, 3, 4 (no float), shots is an integer in
+    [1, 2**53] (no bool, no float) and the counts are four nonnegative
+    integers summing to shots.
     """
 
     n_copies: int
@@ -49,6 +50,7 @@ class ShotRecord:
     seed: int
 
     def __post_init__(self):
+        _check_n(self.n_copies)
         c = np.array(self.counts, dtype=float)
         if c.shape != (4,):
             raise ValueError(f"counts must have 4 entries, got shape {c.shape}")
@@ -118,7 +120,7 @@ def _distribution(state: bytes, shape: tuple, n: int) -> np.ndarray:
     shape whose bytes are ``state``, once the state rule has passed it,
     clipped at 0 and normalised; read-only.  A rejected matrix raises before
     any table is built, and lru_cache keeps no exception."""
-    rho = _require_state(np.frombuffer(state, dtype=complex).reshape(shape), np.linalg.eigvalsh)[0]
+    rho = validate(np.frombuffer(state, dtype=complex).reshape(shape))
     p = np.clip(outcome_probabilities(rho, n).as_vector(), 0.0, None)
     p /= p.sum()
     p.setflags(write=False)

@@ -10,7 +10,7 @@ value w = max(0, -16 * witness) pins the negativity N and concurrence C into
 the tight corridor  f(w) <= N <= C <= w**(1/4), where f inverts the Werner
 line w = C (C + 2)^3 / 27.
 
-Every function takes rho of shape (..., 4, 4), or w of any shape, and
+Every function takes rho of shape (..., 4, 4), or any array-like w, and
 broadcasts over the leading axes; a single state gives Python floats and
 bools, a stack gives arrays of its leading shape.  witness_report and
 concurrence raise validate's ValueError for the first state of the stack
@@ -146,9 +146,9 @@ def _concurrence(d, v):
 
 
 def _check_w(w):
-    """w as Python floats or an array, clamped to [0, 1] after checking that
-    it lies within 1e-9 of that interval (a NaN fails the check)."""
-    w = _result(w)
+    """Any array-like w as a Python float or a float array, clamped to [0, 1]
+    after checking that it lies within 1e-9 of that interval (a NaN fails)."""
+    w = _result(np.asarray(w, dtype=float))
     outside = (w < -1e-9) | (w > 1.0 + 1e-9) | (w != w)
     if np.count_nonzero(outside):
         raise ValueError(f"rescaled witness must be in [0, 1], got {np.ravel(w)[np.ravel(outside)][0]}")
@@ -167,34 +167,29 @@ def lower_bound(w):
     array take the same path: the smaller start is picked by multiplying
     with 1 or 0.
     """
-    return _lower_bound(_check_w(w))
-
-
-def _lower_bound(w):
-    """lower_bound for a w that _check_w or rescaled_witness has already
-    checked and clamped to [0, 1]."""
-    series, root4 = 27.0 * w / 8.0, w ** 0.25
-    c = series * (series <= root4) + root4 * (series > root4)
-    for _ in range(_NEWTON_STEPS):
-        c = c - (c * (c + 2.0) ** 3 / 27.0 - w) / ((c + 2.0) ** 2 * (4.0 * c + 2.0) / 27.0)
-    return c
+    return bounds(w)[0]
 
 
 def upper_bound(w):
     """Tight upper bound on the concurrence: w**(1/4), saturated by pure states."""
-    return _upper_bound(_check_w(w))
-
-
-def _upper_bound(w):
-    """upper_bound for an already checked and clamped w."""
-    return w ** 0.25
+    return _check_w(w) ** 0.25
 
 
 def bounds(w) -> tuple:
     """(lower bound on N, upper bound on C) for a given rescaled witness
     value, checked once for both."""
-    w = _check_w(w)
-    return _lower_bound(w), _upper_bound(w)
+    return _bounds(_check_w(w))
+
+
+def _bounds(w):
+    """(f(w), w**(1/4)) for a w that _check_w or rescaled_witness has
+    already checked and clamped to [0, 1]; the upper edge is also
+    lower_bound's larger Newton start."""
+    series, root4 = 27.0 * w / 8.0, w ** 0.25
+    c = series * (series <= root4) + root4 * (series > root4)
+    for _ in range(_NEWTON_STEPS):
+        c = c - (c * (c + 2.0) ** 3 / 27.0 - w) / ((c + 2.0) ** 2 * (4.0 * c + 2.0) / 27.0)
+    return c, root4
 
 
 def witness_report(rho: np.ndarray) -> WitnessReport:
@@ -208,7 +203,7 @@ def witness_report(rho: np.ndarray) -> WitnessReport:
     value = witness_value(moments_direct(rho))
     # rescaled_witness already clamps w to [0, 1]: no second check
     w = rescaled_witness(value)
-    lo, hi = _lower_bound(w), _upper_bound(w)
+    lo, hi = _bounds(w)
     return WitnessReport(
         witness=value,
         w=w,

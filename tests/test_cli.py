@@ -217,9 +217,9 @@ class TestVerify:
         assert out.endswith("overall: FAIL\n")
 
     def test_corridor_violation_fails(self, capsys, monkeypatch):
-        # witness_report takes f(w) from the unchecked form, its w being clamped already
-        lower = witness._lower_bound
-        monkeypatch.setattr(witness, "_lower_bound", lambda w: lower(w) + 1e-6)
+        # witness_report takes both edges from the unchecked form, its w being clamped already
+        both = witness._bounds
+        monkeypatch.setattr(witness, "_bounds", lambda w: (both(w)[0] + 1e-6, both(w)[1]))
         code, out, _ = run(capsys, "--command", "verify", "--samples", "10", "--seed", "4")
         assert code == 1
         assert "FAIL  bound corridor" in out and out.count("FAIL") == 2

@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -503,16 +504,27 @@ class TestEngineAgainstDenseOracle:
             assert leaks == [], (module.__name__, leaks)
 
 
+def exact_entries(rho):
+    """Each float entry of rho as the exact (re, im) pair of Fractions."""
+    return [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in np.asarray(rho, dtype=complex)]
+
+
+def times(a, b):
+    """The exact product of two (re, im) pairs."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def plus(a, b):
+    """The exact sum of two (re, im) pairs."""
+    return a[0] + b[0], a[1] + b[1]
+
+
 def exact_table_traces(rho, n):
-    """Re t(pi_w) for the six table words in exact rational arithmetic: each
-    float entry of rho as a (re, im) pair of Fractions, each trace summed
-    term by term over the basis from the dense words of swap_layer."""
-    entry = [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in np.asarray(rho, dtype=complex)]
+    """Re t(pi_w) for the six table words in exact rational arithmetic from
+    exact_entries, each trace summed term by term over the basis from the
+    dense words of swap_layer."""
+    entry = exact_entries(rho)
     digits = [[(j >> 2 * (n - 1 - k)) & 3 for k in range(n)] for j in range(4**n)]
-
-    def times(a, b):
-        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
     traces = []
     for word in _TABLE_WORDS:
         q = reduce(np.matmul, [swap_layer(n, stage) for stage in word], np.eye(4**n)).argmax(axis=0)
@@ -521,20 +533,74 @@ def exact_table_traces(rho, n):
     return traces
 
 
+def exact_moments_and_det(rho):
+    """((pi2, pi3, pi4), det) of rho^PT in exact rational arithmetic from
+    exact_entries: exact 4x4 products for the moments, the 24-term Leibniz
+    sum for det; the real parts, as the routes return."""
+    entry = exact_entries(rho)
+    # rho^PT[(a, b), (c, d)] = rho[(c, b), (a, d)]: a relabelling, no arithmetic
+    g = [[entry[2 * (j >> 1) + (i & 1)][2 * (i >> 1) + (j & 1)] for j in range(4)] for i in range(4)]
+
+    def matmul(x, y):
+        return [[reduce(plus, (times(x[i][k], y[k][j]) for k in range(4))) for j in range(4)] for i in range(4)]
+
+    g2 = matmul(g, g)
+    moments = tuple(sum(m[i][i][0] for i in range(4)) for m in (g2, matmul(g2, g), matmul(g2, g2)))
+    det = Fraction(0)
+    for perm in permutations(range(4)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+        det += sign * reduce(times, (g[i][perm[i]] for i in range(4)))[0]
+    return moments, det
+
+
+def exact_oracle_states():
+    """The states the exact oracle checks, as (label, rho)."""
+    rng = np.random.default_rng(43)
+    yield "singlet", singlet()
+    yield "werner 1/3 - 1e-9", werner(1 / 3 - 1e-9)
+    yield "werner 1/3 + 1e-9", werner(1 / 3 + 1e-9)
+    yield "product", product_state(0.7)
+    yield "hs", random_mixed_state(rng)
+    yield "pure", random_pure_state(rng)
+    yield "rank 2", 0.7 * random_pure_state(rng) + 0.3 * random_pure_state(rng)
+
+
 class TestExactOracle:
-    # A term is a product of entries of modulus <= 1 with at most three complex
-    # roundings, and the <= 256 terms are summed pairwise, so a trace of a
-    # state lands within a few eps of its exact value; the worst here is
-    # 1.0 eps (werner 1/3 - 1e-9, t(I) at n = 4)
-    BOUND = 4 * np.finfo(float).eps
+    EPS = np.finfo(float).eps
+    # Each moment is the trace of a product of matrices whose rows have norm
+    # <= 1, a sum of O(1) terms with a few roundings each; the invariants
+    # route adds the roundings of the 15 Pauli coefficients and of the y
+    # combinations.  Worst seen: 0.24 eps direct (hs), 1.55 eps via the
+    # invariants (pure).
+    MOMENT_BOUND = {"direct": 2, "invariants": 4}
 
     def test_table_traces_within_a_few_eps(self):
-        rng = np.random.default_rng(43)
-        states = [("singlet", singlet()), ("werner 1/3 - 1e-9", werner(1 / 3 - 1e-9)),
-                  ("werner 1/3 + 1e-9", werner(1 / 3 + 1e-9)), ("product", product_state(0.7)),
-                  ("hs", random_mixed_state(rng)), ("pure", random_pure_state(rng))]
-        for label, rho in states:
+        # A term is a product of entries of modulus <= 1 with at most three
+        # complex roundings, and the <= 256 terms are summed pairwise, so a
+        # trace of a state lands within a few eps of its exact value; the
+        # worst here is 1.0 eps (werner 1/3 - 1e-9, t(I) at n = 4)
+        for label, rho in exact_oracle_states():
             for n in COPY_COUNTS:
                 traces = _permutation_traces(rho, n, _TABLE_WORDS)
                 for word, got, exact in zip(_TABLE_WORDS, traces, exact_table_traces(rho, n)):
-                    assert abs(Fraction(got) - exact) <= self.BOUND, (label, n, word)
+                    assert abs(Fraction(got) - exact) <= 4 * self.EPS, (label, n, word)
+
+    @pytest.mark.parametrize("route", sorted(MOMENT_BOUND))
+    def test_moments_within_a_few_eps(self, route):
+        moments = moments_direct if route == "direct" else uwitness.invariants.moments_via_invariants
+        for label, rho in exact_oracle_states():
+            exact, _ = exact_moments_and_det(rho)
+            for n, got, want in zip(COPY_COUNTS, moments(rho).as_tuple(), exact):
+                assert abs(Fraction(got) - want) <= self.MOMENT_BOUND[route] * self.EPS, (label, n)
+
+    def test_w_error_is_about_1e_15(self):
+        # The witness docstring's error model, against the exact det of the
+        # float input.  w = -16 witness sums terms up to 16 * 8 / 24 in size,
+        # each off by a moment error above times its coefficient and by a
+        # few roundings, whatever the size of w: within 16 eps = 3.6e-15.
+        # Worst seen: 7.5 eps = 1.7e-15 (pure), 4.0 eps (singlet), and 0.7
+        # and 0.2 eps at werner 1/3 -/+ 1e-9, where |w| is about 4e-10.
+        for label, rho in exact_oracle_states():
+            _, det = exact_moments_and_det(rho)
+            got = uwitness.witness.witness_value(moments_direct(rho))
+            assert 16 * abs(Fraction(got) - det) <= 16 * self.EPS, label

@@ -371,6 +371,12 @@ class TestEstimate:
         with pytest.raises(ValueError, match=message):
             ShotRecord(n_copies=2, shots=shots, counts=counts, seed=0)
 
+    @pytest.mark.parametrize("n", [7, 1, 2.0, True])
+    def test_hand_built_record_copy_count_rejected(self, n):
+        # a record for n = 7 would be silently ignored next to those for n = 2, 3, 4
+        with pytest.raises(ValueError, match=re.escape(f"copy count must be one of (2, 3, 4), got {n}")):
+            ShotRecord(n_copies=n, shots=3, counts=[1, 1, 1, 0], seed=0)
+
     def test_estimate_fields(self):
         rho = werner(0.6)
         est = estimate(draw_records(rho, 500, 1), resamples=50, seed=9)

@@ -136,6 +136,17 @@ def test_witness_scalars_broadcast():
         lower_bound(np.array([0.5, 1.1]))
 
 
+@pytest.mark.parametrize("w", [[0.1, 0.5], [[0.0, 1e-12], [0.3, 1.0 + 1e-12]], (0.2,), []])
+def test_bounds_take_any_array_like(w):
+    # a list gives bit for bit what the array of that list gives
+    array = np.array(w, dtype=float)
+    assert np.array_equal(lower_bound(w), lower_bound(array))
+    assert np.array_equal(upper_bound(w), upper_bound(array))
+    for from_list, from_array in zip(bounds(w), bounds(array)):
+        assert np.array_equal(from_list, from_array)
+    assert np.shape(lower_bound(w)) == array.shape
+
+
 def test_spinflip_cross_check_on_stack():
     stack = mixed_stack()
     close(concurrence_spinflip_eigs(stack), per_state(concurrence_spinflip_eigs, stack), atol=1e-7)
@@ -177,6 +188,25 @@ def test_empty_stack_gives_empty_results():
     assert validate(empty).shape == (0, 4, 4)
     assert outcome_probabilities(empty, 4).probabilities.shape == (0, 2, 2)
     assert moments_via_invariants(empty).pi4.shape == (0,)
+
+
+def test_state_checks_take_an_empty_stack():
+    # every deviation is >= 0, so no state reads 0, as every route's empty results allow
+    empty = StateSampler("hs", 4).sample(0)
+    assert checks.moment_routes(empty) == 0.0
+    assert checks.invariant_route(empty) == 0.0
+    assert checks.witness_det(empty) == 0.0
+    assert checks.local_unitary_drift(empty, np.random.default_rng(0), 3) == 0.0
+    assert checks.corridor(empty) == (-np.inf, -np.inf, True)
+
+
+def test_route_checks_pass_a_nan_on():
+    # a NaN route result is no agreement: the check reads NaN, which no
+    # threshold passes, and not the largest of the other deviations
+    stack = StateSampler("hs", 4).sample(3)
+    stack[1, 3, 3] = np.nan
+    assert np.isnan(checks.moment_routes(stack))
+    assert np.isnan(checks.invariant_route(stack))
 
 
 @pytest.mark.parametrize("fn", [negativity, concurrence, witness_report, validate])

@@ -29,7 +29,7 @@ import numpy as np
 from .collective import (_LAYER_PAIRS, COPY_COUNTS, _swap_permutation, layer_permutation,
                          moment_cycle, moment_via_observable, outcome_probabilities)
 from .invariants import apply_local_unitary, decompose, makhlin, moments_via_invariants
-from .linalg import partial_transpose
+from .linalg import _matrix, partial_transpose
 from .states import haar_unitary, validate
 from .witness import moments_direct, witness_report, witness_value
 
@@ -172,7 +172,7 @@ def local_unitary_drift(batch, rng, rotations: int) -> float:
     combinations under `rotations` local unitaries u_a x u_b per state, each
     factor Haar-random from `rng` (drawn state by state, rotation by rotation,
     u_a before u_b)."""
-    batch = np.asarray(batch, dtype=complex)
+    batch = _matrix(batch)
     u = haar_unitary(rng, shape=(*batch.shape[:-2], rotations, 2))
     rotated = apply_local_unitary(batch[..., None, :, :], u[..., 0, :, :], u[..., 1, :, :])
     base = _invariant_values(batch)[..., None, :]

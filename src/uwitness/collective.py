@@ -63,7 +63,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import _result
+from .linalg import _matrix, _result
 from .witness import MomentSet
 
 COPY_COUNTS = (2, 3, 4)
@@ -176,9 +176,7 @@ def _permutation_traces(rho, n: int, words: tuple) -> tuple:
     without a warning; an inf entry or an overflowing product gives numpy's
     RuntimeWarning, as the matmul of moments_direct does.
     """
-    r = np.asarray(rho, dtype=complex)
-    if r.shape[-2:] != (4, 4):  # linalg._pair_tensor's rule, without its asarray and reshape
-        raise ValueError(f"expected a (..., 4, 4) two-qubit matrix, got shape {r.shape}")
+    r = _matrix(rho)
     lead = r.shape[:-2]
     r = r.reshape(-1, 16)
     idx = _trace_indices(n, words)

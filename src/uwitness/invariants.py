@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _dagger, _pair_tensor, _result, _trace
+from .linalg import _dagger, _matrix, _result, _trace
 from .witness import MomentSet
 
 # sigma_0 = I, sigma_x, sigma_y, sigma_z as one (4, 2, 2) stack
@@ -45,8 +45,8 @@ _COF_COLS = np.stack([_NEXT, _NEXT2, _NEXT2, _NEXT], axis=-1)[None, :, :]
 def decompose(rho: np.ndarray) -> np.ndarray:
     """Pauli-coefficient matrix t[i, j] = tr[(sigma_i x sigma_j) rho] of a
     two-qubit state, real (..., 4, 4) for a Hermitian rho."""
-    r = _pair_tensor(np.asarray(rho, dtype=complex))
-    return np.einsum("iac,jbd,...cdab->...ij", PAULI, PAULI, r).real
+    r = _matrix(rho)  # as r[..., a_row, b_row, a_col, b_col] in the einsum
+    return np.einsum("iac,jbd,...cdab->...ij", PAULI, PAULI, r.reshape(r.shape[:-2] + (2, 2, 2, 2))).real
 
 
 @dataclass(frozen=True)
@@ -133,8 +133,12 @@ def moments_via_invariants(rho: np.ndarray) -> MomentSet:
 
 def apply_local_unitary(rho: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
     """(u_a x u_b) rho (u_a x u_b)^dag; the (..., 2, 2) factors broadcast
-    against the (..., 4, 4) states."""
+    against the (..., 4, 4) states.  ValueError naming the shape of a factor
+    that is not (..., 2, 2) or of a rho off the matrix rule."""
     u_a, u_b = np.asarray(u_a, dtype=complex), np.asarray(u_b, dtype=complex)
+    for u in (u_a, u_b):
+        if u.shape[-2:] != (2, 2):
+            raise ValueError(f"expected 2x2 local factors or (..., 2, 2) stacks, got shape {u.shape}")
     u = u_a[..., :, None, :, None] * u_b[..., None, :, None, :]
     u = u.reshape(*u.shape[:-4], 4, 4)
-    return u @ np.asarray(rho, dtype=complex) @ _dagger(u)
+    return u @ _matrix(rho) @ _dagger(u)

@@ -4,10 +4,16 @@ Everything here works on plain ndarrays of shape (..., d, d) and broadcasts
 over the leading axes: a single matrix is the case with no leading axes.
 Qubits are indexed left-to-right in the tensor product (qubit 0 is the most
 significant bit of the computational-basis index), so a two-qubit matrix
-reshapes to the tensor r[..., a_row, b_row, a_col, b_col] (_pair_tensor).
-Nothing here judges whether a matrix is a state: that rule, its tolerances
-and its messages belong to uwitness.states, which names a bad matrix of a
-stack through _position.
+reshapes to the tensor r[..., a_row, b_row, a_col, b_col].
+
+The matrix rule lives here, in _matrix: a two-qubit matrix is anything
+np.asarray reads as a complex (..., 4, 4) array, else ValueError "expected a
+4x4 matrix or a (..., 4, 4) stack, got shape ...".  It is the one shape
+check of the package.  The moment routes, partial_transpose, decompose and
+apply_local_unitary apply this rule alone, so a NaN passes through them;
+sample_shots and save_state also require exactly one matrix, not a stack.
+Whether a matrix is a state is the stricter rule of uwitness.states, built
+on this one, which names a bad matrix of a stack through _position.
 """
 
 from __future__ import annotations
@@ -17,22 +23,22 @@ import numpy as np
 
 def partial_transpose(rho: np.ndarray) -> np.ndarray:
     """Transpose the first qubit of a two-qubit matrix, or of each matrix in
-    a (..., 4, 4) stack.
+    a (..., 4, 4) stack; complex, whatever the input's dtype.
 
     For a two-qubit density matrix this is the partial transpose whose
     spectrum decides the PPT separability test.
     """
-    r = _pair_tensor(rho)
-    return r.swapaxes(-4, -2).reshape(r.shape[:-4] + (4, 4))
+    rho = _matrix(rho)
+    return rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)).swapaxes(-4, -2).reshape(rho.shape)
 
 
-def _pair_tensor(rho) -> np.ndarray:
-    """A (..., 4, 4) stack of two-qubit matrices as the view
-    r[..., a_row, b_row, a_col, b_col]; ValueError on any other shape."""
-    rho = np.asarray(rho)
+def _matrix(rho) -> np.ndarray:
+    """rho as a complex (..., 4, 4) array: the matrix rule, the one shape
+    check of every entry point; ValueError on any other shape."""
+    rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
-        raise ValueError(f"expected a (..., 4, 4) two-qubit matrix, got shape {rho.shape}")
-    return rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
+        raise ValueError(f"expected a 4x4 matrix or a (..., 4, 4) stack, got shape {rho.shape}")
+    return rho
 
 
 def _position(bad) -> str:

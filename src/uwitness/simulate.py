@@ -26,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .collective import COPY_COUNTS, _check_n, outcome_probabilities
+from .linalg import _matrix
 from .states import validate
 from .witness import witness_polynomial
 
@@ -107,20 +108,20 @@ def sample_shots(rho: np.ndarray, n: int, shots: int, seed: int) -> ShotRecord:
     """
     _require_count("shots", shots)
     _check_n(n)
-    rho = np.asarray(rho, dtype=complex)
+    rho = _matrix(rho)
     if rho.ndim != 2:
         raise ValueError(f"sample_shots takes one (4, 4) state, got shape {rho.shape}")
-    counts = np.random.default_rng(seed).multinomial(shots, _distribution(rho.tobytes(), rho.shape, n))
+    counts = np.random.default_rng(seed).multinomial(shots, _distribution(rho.tobytes(), n))
     return ShotRecord(n_copies=n, shots=int(shots), counts=counts, seed=seed)
 
 
 @lru_cache(maxsize=64)
-def _distribution(state: bytes, shape: tuple, n: int) -> np.ndarray:
-    """The outcome probabilities of n copies of the complex matrix of this
-    shape whose bytes are ``state``, once the state rule has passed it,
-    clipped at 0 and normalised; read-only.  A rejected matrix raises before
-    any table is built, and lru_cache keeps no exception."""
-    rho = validate(np.frombuffer(state, dtype=complex).reshape(shape))
+def _distribution(state: bytes, n: int) -> np.ndarray:
+    """The outcome probabilities of n copies of the complex (4, 4) matrix
+    whose bytes are ``state``, once the state rule has passed it, clipped at
+    0 and normalised; read-only.  A rejected matrix raises before any table
+    is built, and lru_cache keeps no exception."""
+    rho = validate(np.frombuffer(state, dtype=complex).reshape(4, 4))
     p = np.clip(outcome_probabilities(rho, n).as_vector(), 0.0, None)
     p /= p.sum()
     p.setflags(write=False)

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .linalg import _dagger, _position, _trace
+from .linalg import _dagger, _matrix, _position, _trace
 
 # the state rule: a finite Hermitian (4, 4) matrix of unit trace, no eigenvalue
 # below -POSITIVITY_ATOL
@@ -45,9 +45,7 @@ def _require_state(rho, solver):
     returns, where the matrix is Hermitian; None judges no positivity and
     returns no spectrum.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix or a (..., 4, 4) stack, got shape {rho.shape}")
+    rho = _matrix(rho)
     finite = np.isfinite(rho)
     if np.count_nonzero(finite) != rho.size:
         # before rho - rho^dag, where inf - inf would make numpy warn
@@ -222,8 +220,11 @@ class StateSampler:
 
 
 def state_to_dict(rho) -> dict:
-    """JSON-ready dict {dim, re, im} with row-major real/imaginary parts."""
-    rho = np.asarray(rho, dtype=complex)
+    """JSON-ready dict {dim, re, im} with row-major real/imaginary parts of
+    one (4, 4) matrix; ValueError for any other shape, a stack included."""
+    rho = _matrix(rho)
+    if rho.ndim != 2:
+        raise ValueError(f"state_to_dict takes one (4, 4) matrix, got shape {rho.shape}")
     return {
         "dim": 4,
         "re": [float(x) for x in rho.real.ravel()],
@@ -249,9 +250,12 @@ def state_from_dict(d: dict) -> np.ndarray:
 
 
 def save_state(path, rho):
-    """Write a state to a JSON file."""
+    """Write one (4, 4) matrix to a JSON file (no physicality check; see
+    validate).  A matrix of any other shape raises state_to_dict's
+    ValueError before the file is opened."""
+    doc = state_to_dict(rho)
     with open(path, "w") as fh:
-        json.dump(state_to_dict(rho), fh, indent=1)
+        json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 

@@ -79,7 +79,7 @@ class WitnessReport:
 
 def moments_direct(rho: np.ndarray) -> MomentSet:
     """Moments from explicit powers of the partially transposed matrix."""
-    g = partial_transpose(np.asarray(rho, dtype=complex))
+    g = partial_transpose(rho)
     g2 = g @ g
     return MomentSet(
         pi2=_result(_trace(g2).real),

@@ -571,8 +571,26 @@ class TestExactOracle:
     # <= 1, a sum of O(1) terms with a few roundings each; the invariants
     # route adds the roundings of the 15 Pauli coefficients and of the y
     # combinations.  Worst seen: 0.24 eps direct (hs), 1.55 eps via the
-    # invariants (pure).
-    MOMENT_BOUND = {"direct": 2, "invariants": 4}
+    # invariants (pure).  The collective routes build on the engine traces,
+    # each within 4 eps (test_table_traces_within_a_few_eps):
+    # - cycle is one trace, t(L1 L2): 4 eps.  Worst seen 0.55 eps (pure, n = 3).
+    # - collective is the table's signed sum, (t(L1 L2) + t(L2 L1))/2 exactly:
+    #   4 eps from the traces; the table's own roundings, on sums of at most
+    #   8 that are divided by 8 before the signed sum of four probabilities,
+    #   add at most 4 more.  Worst seen 0.66 eps (rank 2, n = 3).
+    # - observable is (2 t(I) + t(L1 L2) + t(L2 L1))/2 - 1: 8 eps from the
+    #   three traces, whose - 1 cancels t(I) and leaves that error whole on a
+    #   moment below 1, and the roundings of the O(1) sums add a few more:
+    #   16 eps.  Worst seen 6.9 eps (pure, n = 4).
+    MOMENT_BOUND = {"direct": 2, "invariants": 4, "collective": 8, "cycle": 4, "observable": 16}
+    # each route's (pi2, pi3, pi4); the observable route has no n = 2
+    ROUTES = {
+        "direct": lambda rho: moments_direct(rho).as_tuple(),
+        "invariants": lambda rho: uwitness.invariants.moments_via_invariants(rho).as_tuple(),
+        "collective": lambda rho: moments_collective(rho).as_tuple(),
+        "cycle": lambda rho: tuple(moment_cycle(rho, n) for n in COPY_COUNTS),
+        "observable": lambda rho: (None,) + tuple(moment_via_observable(rho, n) for n in (3, 4)),
+    }
 
     def test_table_traces_within_a_few_eps(self):
         # A term is a product of entries of modulus <= 1 with at most three
@@ -587,11 +605,11 @@ class TestExactOracle:
 
     @pytest.mark.parametrize("route", sorted(MOMENT_BOUND))
     def test_moments_within_a_few_eps(self, route):
-        moments = moments_direct if route == "direct" else uwitness.invariants.moments_via_invariants
         for label, rho in exact_oracle_states():
             exact, _ = exact_moments_and_det(rho)
-            for n, got, want in zip(COPY_COUNTS, moments(rho).as_tuple(), exact):
-                assert abs(Fraction(got) - want) <= self.MOMENT_BOUND[route] * self.EPS, (label, n)
+            for n, got, want in zip(COPY_COUNTS, self.ROUTES[route](rho), exact):
+                if got is not None:
+                    assert abs(Fraction(got) - want) <= self.MOMENT_BOUND[route] * self.EPS, (label, n)
 
     def test_w_error_is_about_1e_15(self):
         # The witness docstring's error model, against the exact det of the

@@ -1,6 +1,8 @@
 import dataclasses
+import re
 
 import numpy as np
+import pytest
 
 from uwitness.invariants import (
     PAULI,
@@ -167,3 +169,11 @@ class TestLocalUnitaryInvariance:
         rho = werner(0.8)
         rotated = apply_local_unitary(rho, haar_unitary(rng), haar_unitary(rng))
         assert np.abs(decompose(rotated)[1:, 1:] - decompose(rho)[1:, 1:]).max() > 1e-3
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2,)])
+    def test_factor_must_be_2x2(self, shape):
+        # a (3, 3) factor reached numpy's reshape error, a (2,) factor an IndexError
+        for u_a, u_b in ((np.ones(shape), np.eye(2)), (np.eye(2), np.ones(shape))):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"expected 2x2 local factors or (..., 2, 2) stacks, got shape {shape}")):
+                apply_local_unitary(werner(0.5), u_a, u_b)

@@ -145,7 +145,7 @@ class TestDistributionCache:
         assert _distribution.cache_info().currsize == 2
 
     def test_cached_vector_is_read_only(self, table_builds):
-        p = _distribution(np.asarray(werner(0.7), dtype=complex).tobytes(), (4, 4), 3)
+        p = _distribution(np.asarray(werner(0.7), dtype=complex).tobytes(), 3)
         assert not p.flags.writeable and p.sum() == 1.0
 
     def test_state_edited_in_place_gets_its_own_table(self, table_builds):

@@ -3,6 +3,7 @@ per-state results, broadcasts over several leading axes, rejects non-finite
 input by the index of the state, and the sampler's stream does not depend on
 how it is split into blocks."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,8 @@ from uwitness.collective import (_TRACE_BLOCK, COPY_COUNTS, moment_cycle, moment
 from uwitness.invariants import (apply_local_unitary, decompose, makhlin, moments_from_invariants,
                                  moments_via_invariants)
 from uwitness.linalg import partial_transpose
-from uwitness.states import StateSampler, haar_unitary, validate, werner
+from uwitness.simulate import sample_shots
+from uwitness.states import StateSampler, haar_unitary, state_to_dict, validate, werner
 from uwitness.witness import (bounds, concurrence, lower_bound, moments_direct, negativity,
                               rescaled_witness, upper_bound, witness_report, witness_value)
 
@@ -63,6 +65,23 @@ STATE_LAYERS = {
     "outcome_probabilities": lambda r: tuple(outcome_probabilities(r, n).probabilities for n in (2, 3, 4)),
     "moments_collective": lambda r: moments_collective(r).as_tuple(),
 }
+
+
+# every other entry point that takes a two-qubit matrix, beside STATE_LAYERS
+MATRIX_ENTRY_POINTS = {
+    "apply_local_unitary": lambda r: apply_local_unitary(r, np.eye(2), np.eye(2)),
+    "local_unitary_drift": lambda r: checks.local_unitary_drift(r, np.random.default_rng(0), 1),
+    "sample_shots": lambda r: sample_shots(r, 2, 10, seed=0),
+    "state_to_dict": state_to_dict,
+}
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4,)], ids=["3x3", "vector"])
+@pytest.mark.parametrize("name", sorted(STATE_LAYERS) + sorted(MATRIX_ENTRY_POINTS))
+def test_every_entry_point_applies_the_one_matrix_rule(name, shape):
+    fn = STATE_LAYERS.get(name) or MATRIX_ENTRY_POINTS[name]
+    with pytest.raises(ValueError, match=re.escape(f"expected a 4x4 matrix or a (..., 4, 4) stack, got shape {shape}")):
+        fn(np.ones(shape) / shape[-1])
 
 
 def per_state(fn, stack):

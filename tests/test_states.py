@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,21 @@ class TestFileFormat:
         path = tmp_path / "state.json"
         save_state(path, rho)
         assert np.allclose(load_state(path), rho, atol=0)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4,), (16,), (2, 4, 4), (1, 4, 4)],
+                             ids=["3x3", "vector", "16-vector", "stack", "stack-of-one"])
+    def test_only_one_4x4_matrix_is_saved(self, tmp_path, shape):
+        # np.eye(3) was written as 9 entries and a (2, 4, 4) stack as 32, files
+        # that load_state then refused; now nothing is written
+        path = tmp_path / "bad.json"
+        message = (f"state_to_dict takes one (4, 4) matrix, got shape {shape}" if shape[-2:] == (4, 4)
+                   else f"expected a 4x4 matrix or a (..., 4, 4) stack, got shape {shape}")
+        bad = np.zeros(shape)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            state_to_dict(bad)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            save_state(path, bad)
+        assert not path.exists()
 
     def test_dict_shape(self):
         d = state_to_dict(singlet())

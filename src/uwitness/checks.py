@@ -1,7 +1,10 @@
 """The paper's checkable claims, one function each.
 
 `uwitness --command verify` and tests/test_acceptance.py both run these; the
-callers choose the states, seeds and thresholds.  A check on states takes a
+callers choose the states and seeds.  Whether a claim passes is decided here,
+once: each claim's pass mark is defined next to it (ROUTE_MARK, DRIFT_MARK,
+EXACT, PAPER_SPECTRA_AND_COUNT, in_corridor's slacks), and passes() is the
+one rule that compares a deviation with its mark.  A check on states takes a
 (..., 4, 4) stack of them, plus an rng and a rotation count where the claim
 needs them, passes the whole stack to each layer in one call, and returns
 its worst deviation over the stack.  No check loops over the states.
@@ -96,25 +99,46 @@ def _cycle_spectrum(n: int) -> dict:
 
 # ---- the claims -------------------------------------------------------------
 
+# The pass marks.  A rounding claim passes below its mark, set far above the
+# ~1e-15 that any state reaches; an exact claim passes at exactly 0.
+ROUTE_MARK = 1e-10  # moment_routes, invariant_route and witness_det
+DRIFT_MARK = 1e-9  # local_unitary_drift
+EXACT = 0.0  # projector_composition and nondemolition, exact by construction
+# spectra_and_count: the spectra {1, 4} and {0, 2, 4}, and seven projections
+PAPER_SPECTRA_AND_COUNT = ((1.0, 4.0), (0.0, 2.0, 4.0), 7)
+
+
+def passes(dev: float, mark: float) -> bool:
+    """Whether a claim's deviation passes its mark: below a rounding mark, or
+    exactly 0 for an EXACT claim.  A NaN passes neither."""
+    return dev == 0.0 if mark == EXACT else dev < mark
+
+
+def route_spread(values) -> np.ndarray:
+    """max - min over the routes (the first axis) of their values of the same
+    moments: the one rule for how far routes disagree, elementwise."""
+    values = np.stack(values)
+    return values.max(axis=0) - values.min(axis=0)
+
 
 def moment_routes(batch) -> float:
-    """Largest pairwise gap between the direct, cycle, sequential-table and
-    (n >= 3) observable moments for n = 2, 3, 4, or between a table's total
-    probability and 1."""
+    """Largest route_spread of the direct, cycle, sequential-table and
+    (n >= 3) observable moments for n = 2, 3, 4, or gap between a table's
+    total probability and 1; passes below ROUTE_MARK."""
     devs = []
     for n, direct in zip(COPY_COUNTS, moments_direct(batch).as_tuple()):
         table = outcome_probabilities(batch, n)
         values = [direct, moment_cycle(batch, n), table.moment]
         if n >= 3:
             values.append(moment_via_observable(batch, n))
-        values = np.stack(values)
-        devs += [values.max(axis=0) - values.min(axis=0), np.abs(table.as_vector().sum(axis=-1) - 1.0)]
+        devs += [route_spread(values), np.abs(table.as_vector().sum(axis=-1) - 1.0)]
     return _worst(*devs)
 
 
 def projector_composition() -> float:
     """max |P - (I +/- L)/2| over the parity projectors P of both stages on
-    2-4 copies (_composed_projectors), L being the stage's layer; exactly 0.
+    2-4 copies (_composed_projectors), L being the stage's layer.  Exact by
+    construction, every entry a multiple of 1/8: passes at exactly 0 (EXACT).
     """
     dev = 0.0
     for n in COPY_COUNTS:
@@ -128,8 +152,8 @@ def projector_composition() -> float:
 def spectra_and_count() -> tuple:
     """(spectrum of (L1 + L2)^2 on 3 copies, the same on 4 copies, number of
     projections for all three moments: 2 (n=2) plus one per distinct
-    eigenvalue); the paper has ((1, 4), (0, 2, 4), 7).  The spectra are read
-    off the cycles of L1 L2 (_cycle_spectrum)."""
+    eigenvalue); passes when equal to the paper's PAPER_SPECTRA_AND_COUNT.
+    The spectra are read off the cycles of L1 L2 (_cycle_spectrum)."""
     s3, s4 = tuple(_cycle_spectrum(3)), tuple(_cycle_spectrum(4))
     return s3, s4, 2 + len(s3) + len(s4)
 
@@ -137,8 +161,9 @@ def spectra_and_count() -> tuple:
 def nondemolition() -> float:
     """Stage-1 parity is nondemolition on 2-4 copies, for every state: max
     |L P -/+ P| and |P L -/+ P| over the stage-1 projectors P+ and P- as
-    they are measured (_composed_projectors), L being the stage-1 layer;
-    exactly 0.
+    they are measured (_composed_projectors), L being the stage-1 layer.
+    Exact by construction, every entry a gather of a multiple of 1/8: passes
+    at exactly 0 (EXACT).
 
     With L^2 = I (_layers) and L P = P L = +/-P, the symmetrized stack
     sym = (X + L X L)/2 of any X, the copy stack rho^(x)n included, obeys
@@ -156,9 +181,9 @@ def nondemolition() -> float:
 
 
 def invariant_route(batch) -> float:
-    """max |direct - invariant-route moment| over pi2, pi3 and pi4."""
-    pairs = zip(moments_direct(batch).as_tuple(), moments_via_invariants(batch).as_tuple())
-    return _worst(*(np.abs(a - b) for a, b in pairs))
+    """max |direct - invariant-route moment| over pi2, pi3 and pi4, the
+    route_spread of the two routes; passes below ROUTE_MARK."""
+    return _worst(route_spread([moments_direct(batch).as_tuple(), moments_via_invariants(batch).as_tuple()]))
 
 
 def _invariant_values(rho) -> np.ndarray:
@@ -171,7 +196,7 @@ def local_unitary_drift(batch, rng, rotations: int) -> float:
     """Largest change of any of the nine Makhlin invariants or the six y
     combinations under `rotations` local unitaries u_a x u_b per state, each
     factor Haar-random from `rng` (drawn state by state, rotation by rotation,
-    u_a before u_b)."""
+    u_a before u_b); passes below DRIFT_MARK."""
     batch = _matrix(batch)
     u = haar_unitary(rng, shape=(*batch.shape[:-2], rotations, 2))
     rotated = apply_local_unitary(batch[..., None, :, :], u[..., 0, :, :], u[..., 1, :, :])
@@ -181,8 +206,8 @@ def local_unitary_drift(batch, rng, rotations: int) -> float:
 
 def witness_det(batch) -> float:
     """max |witness polynomial - det rho^PT|, the determinant taken as the
-    product of the eigenvalues of the partial transpose; ValueError for a
-    batch that validate would reject."""
+    product of the eigenvalues of the partial transpose; passes below
+    ROUTE_MARK.  ValueError for a batch that validate would reject."""
     batch = validate(batch)
     det = np.prod(np.linalg.eigvalsh(partial_transpose(batch)), axis=-1)
     return _worst(np.abs(witness_value(moments_direct(batch)) - det))

@@ -221,10 +221,13 @@ class StateSampler:
 
 def state_to_dict(rho) -> dict:
     """JSON-ready dict {dim, re, im} with row-major real/imaginary parts of
-    one (4, 4) matrix; ValueError for any other shape, a stack included."""
+    one (4, 4) matrix; ValueError for any other shape, a stack included, and
+    for a NaN or infinite entry, which JSON cannot hold."""
     rho = _matrix(rho)
     if rho.ndim != 2:
         raise ValueError(f"state_to_dict takes one (4, 4) matrix, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("non-finite entry in the matrix: a state file holds finite numbers only")
     return {
         "dim": 4,
         "re": [float(x) for x in rho.real.ravel()],
@@ -250,9 +253,10 @@ def state_from_dict(d: dict) -> np.ndarray:
 
 
 def save_state(path, rho):
-    """Write one (4, 4) matrix to a JSON file (no physicality check; see
-    validate).  A matrix of any other shape raises state_to_dict's
-    ValueError before the file is opened."""
+    """Write one finite (4, 4) matrix to a JSON file (no physicality check;
+    see validate).  A matrix of any other shape, or with a NaN or infinite
+    entry, raises state_to_dict's ValueError before the file is opened, so an
+    existing file at path is left as it was."""
     doc = state_to_dict(rho)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)

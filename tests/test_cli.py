@@ -216,6 +216,30 @@ class TestVerify:
         assert "FAIL  moment routes agree" in out and out.count("FAIL") == 2
         assert out.endswith("overall: FAIL\n")
 
+    def test_exact_claims_fail_off_zero(self, capsys, monkeypatch):
+        # 1e-13 is far below any rounding mark; the operator claims are exact,
+        # so any residual at all fails them
+        composed = checks._composed_projectors
+        monkeypatch.setattr(checks, "_composed_projectors",
+                            lambda n, stage: tuple(p + 1e-13 for p in composed(n, stage)))
+        code, out, _ = run(capsys, "--command", "verify", "--samples", "10", "--seed", "4")
+        assert code == 1
+        assert "FAIL  pairwise-composed projectors" in out
+        assert "FAIL  stage-1 parity is nondemolition" in out
+        assert out.count("FAIL") == 3 and out.endswith("overall: FAIL\n")
+
+    def test_route_lines_read_the_mark_in_checks(self, capsys, monkeypatch):
+        # verify keeps no copy of the route mark: at mark 0 the three route
+        # lines, whose deviations are ~1e-16 here, fail, and nothing else does
+        monkeypatch.setattr(checks, "ROUTE_MARK", 0.0)
+        code, out, _ = run(capsys, "--command", "verify", "--samples", "10", "--seed", "4")
+        assert code == 1
+        failed = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
+        assert failed == ["FAIL  moment routes agree (direct/cycle/observable/sequential)",
+                          "FAIL  invariant combinations reproduce the moments",
+                          "FAIL  witness polynomial equals det of the partial transpose"]
+        assert out.endswith("overall: FAIL\n")
+
     def test_corridor_violation_fails(self, capsys, monkeypatch):
         # witness_report takes both edges from the unchecked form, its w being clamped already
         both = witness._bounds

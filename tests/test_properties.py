@@ -20,8 +20,8 @@ from uwitness.witness import (ENTANGLEMENT_ATOL, concurrence, moments_direct, ne
 
 DERANDOMIZED = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
-ROUTE_TOL = 1e-10  # moment routes and witness = det
-LU_TOL = 1e-9  # local-unitary drift
+ROUTE_TOL = checks.ROUTE_MARK  # moment routes and witness = det
+LU_TOL = checks.DRIFT_MARK  # local-unitary drift
 
 _amplitudes = st.floats(-1.0, 1.0, allow_subnormal=False)
 _weights = st.floats(1e-3, 1.0)

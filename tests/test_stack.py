@@ -226,6 +226,14 @@ def test_route_checks_pass_a_nan_on():
     stack[1, 3, 3] = np.nan
     assert np.isnan(checks.moment_routes(stack))
     assert np.isnan(checks.invariant_route(stack))
+    for mark in (checks.ROUTE_MARK, checks.DRIFT_MARK, checks.EXACT):
+        assert not checks.passes(np.nan, mark)
+
+
+def test_exact_claims_pass_at_zero_only():
+    assert checks.passes(0.0, checks.EXACT)
+    assert not checks.passes(5e-324, checks.EXACT)
+    assert checks.passes(5e-324, checks.ROUTE_MARK) and not checks.passes(checks.ROUTE_MARK, checks.ROUTE_MARK)
 
 
 @pytest.mark.parametrize("fn", [negativity, concurrence, witness_report, validate])

@@ -179,6 +179,24 @@ class TestFileFormat:
             save_state(path, bad)
         assert not path.exists()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "-inf-imag"])
+    def test_non_finite_matrix_is_refused_before_the_file_opens(self, tmp_path, value):
+        # json.dump would write NaN/Infinity tokens, which are not JSON; with
+        # allow_nan=False it would raise only after open() had truncated the file
+        path = tmp_path / "kept.json"
+        save_state(path, werner(0.5))
+        before = path.read_bytes()
+        bad = werner(0.5).astype(complex)
+        bad[1, 2] += value
+        with pytest.raises(ValueError, match="non-finite entry in the matrix"):
+            state_to_dict(bad)
+        with pytest.raises(ValueError, match="non-finite entry in the matrix"):
+            save_state(path, bad)
+        assert path.read_bytes() == before
+        with pytest.raises(ValueError, match="non-finite entry in the matrix"):
+            save_state(tmp_path / "new.json", bad)
+        assert not (tmp_path / "new.json").exists()
+
     def test_dict_shape(self):
         d = state_to_dict(singlet())
         assert d["dim"] == 4 and len(d["re"]) == 16 and len(d["im"]) == 16

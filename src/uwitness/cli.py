@@ -133,8 +133,6 @@ def cmd_report(args):
 
 def cmd_scatter(args):
     seed = _require_seed(args)
-    if args.samples < 1:
-        raise UsageError(f"--samples must be >= 1, got {args.samples}")
     sampler = states.StateSampler(args.ensemble, seed)
     lines = ["w,negativity,concurrence"]
     for start in range(0, args.samples, SCATTER_BLOCK):
@@ -212,8 +210,6 @@ def _verify_suites(kind: str, samples: int, seed: int):
 
 
 def cmd_verify(args):
-    if args.samples < 1:
-        raise UsageError(f"--samples must be >= 1, got {args.samples}")
     seed = args.seed if args.seed is not None else 0
     lines = []
     all_ok = True
@@ -229,6 +225,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.seed is not None and args.seed < 0:
         parser.error(f"argument --seed: must be >= 0 (numpy seeds are nonnegative), got {args.seed}")
+    if args.samples < 1:
+        parser.error(f"argument --samples: must be >= 1, got {args.samples}")
     handler = {
         "report": cmd_report,
         "scatter": cmd_scatter,

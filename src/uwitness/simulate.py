@@ -42,7 +42,7 @@ class ShotRecord:
     A hand-built record is checked like a drawn one: ValueError unless
     n_copies is one of 2, 3, 4 (no float), shots is an integer in
     [1, 2**53] (no bool, no float) and the counts are four nonnegative
-    integers summing to shots.
+    integers (no bool) summing to shots.
     """
 
     n_copies: int
@@ -55,6 +55,8 @@ class ShotRecord:
         c = np.array(self.counts, dtype=float)
         if c.shape != (4,):
             raise ValueError(f"counts must have 4 entries, got shape {c.shape}")
+        if any(isinstance(x, (bool, np.bool_)) for x in self.counts):
+            raise ValueError(f"counts must be integers, not bools, got {self.counts!r}")
         _require_count("shots", self.shots)
         if not ((c >= 0) & (c == np.floor(c))).all():
             raise ValueError(f"counts must be nonnegative integers, got {c.tolist()}")

@@ -2,7 +2,8 @@
 
 validate and the random samplers work on stacks of shape (..., 4, 4): a
 single state is the stack with no leading axes, and StateSampler.sample(k)
-draws k states as one (k, 4, 4) block.
+draws k states as one (k, 4, 4) block.  Every state here, named or random,
+is built by one rule, _gram: g g^dag / tr(g g^dag) of a complex (..., 4, r) g.
 """
 
 from __future__ import annotations
@@ -75,10 +76,15 @@ def _require_state(rho, solver):
     raise ValueError("invalid density matrix: " + (where + ": " if where else "") + "; ".join(problems))
 
 
+def _gram(g) -> np.ndarray:
+    """g g^dag / tr(g g^dag) for a complex (..., 4, r) g, r = 1 for a pure
+    state; an exact g gives an exact state (the singlet: 0 and +-0.5)."""
+    rho = g @ _dagger(g)
+    return rho / _trace(rho).real[..., None, None]
+
+
 def _pure(vec) -> np.ndarray:
-    v = np.asarray(vec, dtype=complex)
-    v = v / np.linalg.norm(v)
-    return np.outer(v, v.conj())
+    return _gram(np.asarray(vec, dtype=complex)[:, None])
 
 
 def singlet() -> np.ndarray:
@@ -155,46 +161,33 @@ def named_state(spec: str) -> np.ndarray:
 
 
 def random_mixed_state(rng: np.random.Generator, k=None) -> np.ndarray:
-    """Hilbert-Schmidt random mixed state G G^dag / tr(G G^dag), G Ginibre;
-    k states as a (k, 4, 4) stack.
-
-    The block is one (k, 2, 4, 4) draw, real parts from [:, 0] and imaginary
-    parts from [:, 1], so it is the stream of k single draws bit for bit.
-    """
-    g = rng.standard_normal((*_block(k), 2, 4, 4))
-    g = g[..., 0, :, :] + 1j * g[..., 1, :, :]
-    rho = g @ _dagger(g)
-    return rho / _trace(rho).real[..., None, None]
+    """Hilbert-Schmidt random mixed state, _gram of a (4, 4) Ginibre matrix;
+    k states as a (k, 4, 4) stack, the stream of k single draws bit for bit."""
+    return _gram(_complex_normal(rng, (*_block(k), 4, 4)))
 
 
 def random_pure_state(rng: np.random.Generator, k=None) -> np.ndarray:
-    """Haar-random pure state from a normalized complex Gaussian 4-vector;
-    k states as a (k, 4, 4) stack from one (k, 2, 4) draw, the stream of k
-    single draws bit for bit."""
-    g = rng.standard_normal((*_block(k), 2, 4))
-    v = g[..., 0, :] + 1j * g[..., 1, :]
-    norm = np.sqrt(_dot(v.real, v.real) + _dot(v.imag, v.imag))
-    v = v / norm[..., None]
-    return v[..., :, None] * v.conj()[..., None, :]
+    """Haar-random pure state, _gram of a complex Gaussian 4-vector (one
+    column); k states as a (k, 4, 4) stack, the stream of k single draws."""
+    return _gram(_complex_normal(rng, (*_block(k), 4, 1)))
 
 
 def _block(k) -> tuple:
     return () if k is None else (k,)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_i a[..., i] b[..., i], each through the BLAS dot that np.linalg.norm
-    uses for one vector (an einsum sums in another order)."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+def _complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Complex standard normals of shape (..., m, r) from one (..., 2, m, r)
+    draw: real parts [..., 0, :, :], imaginary parts [..., 1, :, :]."""
+    g = rng.standard_normal((*shape[:-2], 2, *shape[-2:]))
+    return g[..., 0, :, :] + 1j * g[..., 1, :, :]
 
 
 def haar_unitary(rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
     """Haar-random one-qubit unitary via QR of a Ginibre matrix with phase
     fixing; a (*shape, 2, 2) stack from one draw, the stream of the single
     draws in row-major order."""
-    g = rng.standard_normal((*shape, 2, 2, 2))
-    z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(_complex_normal(rng, (*shape, 2, 2)) / np.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
 
@@ -202,10 +195,11 @@ def haar_unitary(rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
 class StateSampler:
     """Seeded stream of random two-qubit density matrices.
 
-    kind is "hs" (Hilbert-Schmidt mixed, the default) or "pure" (Haar pure);
-    equal seeds reproduce the sequence bit for bit.  sample() draws one
-    (4, 4) state and sample(k) a (k, 4, 4) block; the stream does not depend
-    on how it is split into blocks, bit for bit.
+    kind is "hs" (Hilbert-Schmidt mixed, the default) or "pure" (Haar pure),
+    both _gram of a complex Gaussian g with 4 or 1 columns; equal seeds
+    reproduce the sequence bit for bit.  sample() draws one (4, 4) state and
+    sample(k) a (k, 4, 4) block; the stream does not depend on how it is
+    split into blocks, bit for bit.
     """
 
     def __init__(self, kind: str = "hs", seed=None):

@@ -31,6 +31,16 @@ class TestReport:
         assert set(doc["moments"]) == {"direct", "collective", "invariants"}
         assert doc["max_moment_deviation"] < 1e-10
 
+    @pytest.mark.parametrize("state", ["singlet", "phi_plus"])
+    def test_maximally_entangled_moments_are_exact(self, capsys, state):
+        code, out, _ = run(capsys, "--command", "report", "--state", state)
+        assert code == 0
+        doc = json.loads(out)
+        for route in ("direct", "collective", "invariants"):
+            m = doc["moments"][route]
+            assert (m["pi2"], m["pi3"], m["pi4"]) == (1.0, 0.25, 0.25), route
+        assert doc["max_moment_deviation"] == 0.0
+
     def test_separable_werner_not_entangled(self, capsys):
         code, out, _ = run(capsys, "--command", "report", "--state", "werner:0.3")
         assert code == 0
@@ -93,6 +103,14 @@ class TestReport:
         assert code == 0 and out == ""
         doc = json.loads(path.read_text())
         assert abs(doc["witness"] + 0.0625) < 1e-12
+
+
+    def test_out_into_missing_directory_is_an_io_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, "--command", "report", "--state", "singlet", "--out", str(path))
+        assert code == 2 and out == ""
+        assert "could not write" in err
+        assert not path.exists()
 
 
 class TestScatter:
@@ -318,10 +336,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize("state, shots, seed, digest, interval", [
         ("werner:0.7", "30000", "7",
-         "a0c5a2e7b53f68686e715f0aa87c9b670c1fc8007e9410ea01bbad13bf2ab2a0",
+         "eb9bd073c59e37dbbafca5c8f958de14e25e6c1693f3c8d744d2495ce263ba3f",
          (-0.028860355000000004, -0.012440155000000008)),
         ("werner:0.35", "300000", "3",
-         "f81785b64437b8aafdfe11d8a0fb0e97086a740f419e4f9b055121d30cb72645",
+         "0a0252390c59853665dfa313f980c2ceafac8d38cdfa6ddaec3f64f6c74b8124",
          (-0.001619182616666659, 0.004196600200000011)),
     ], ids=["werner-0.7", "werner-0.35"])
     def test_frozen_output(self, capsys, state, shots, seed, digest, interval):
@@ -359,6 +377,18 @@ def test_negative_seed_is_a_usage_error(capsys, command):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument --seed: must be >= 0" in err and "got -1" in err
+
+
+@pytest.mark.parametrize("command", ["scatter", "verify"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_samples_below_one_is_a_usage_error(capsys, command, samples):
+    # judged once in main, before any state is drawn
+    with pytest.raises(SystemExit) as exc:
+        main(["--command", command, "--samples", samples, "--seed", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --samples: must be >= 1, got {samples}" in captured.err
 
 
 def test_unknown_command_rejected_by_argparse(capsys):

@@ -570,18 +570,18 @@ class TestExactOracle:
     # Each moment is the trace of a product of matrices whose rows have norm
     # <= 1, a sum of O(1) terms with a few roundings each; the invariants
     # route adds the roundings of the 15 Pauli coefficients and of the y
-    # combinations.  Worst seen: 0.24 eps direct (hs), 1.55 eps via the
-    # invariants (pure).  The collective routes build on the engine traces,
+    # combinations.  Worst seen: 0.24 eps direct (hs), 0.74 eps via the
+    # invariants (hs).  The collective routes build on the engine traces,
     # each within 4 eps (test_table_traces_within_a_few_eps):
-    # - cycle is one trace, t(L1 L2): 4 eps.  Worst seen 0.55 eps (pure, n = 3).
+    # - cycle is one trace, t(L1 L2): 4 eps.  Worst seen 0.26 eps (hs, n = 2).
     # - collective is the table's signed sum, (t(L1 L2) + t(L2 L1))/2 exactly:
     #   4 eps from the traces; the table's own roundings, on sums of at most
     #   8 that are divided by 8 before the signed sum of four probabilities,
-    #   add at most 4 more.  Worst seen 0.66 eps (rank 2, n = 3).
+    #   add at most 4 more.  Worst seen 0.68 eps (rank 2, n = 2).
     # - observable is (2 t(I) + t(L1 L2) + t(L2 L1))/2 - 1: 8 eps from the
     #   three traces, whose - 1 cancels t(I) and leaves that error whole on a
     #   moment below 1, and the roundings of the O(1) sums add a few more:
-    #   16 eps.  Worst seen 6.9 eps (pure, n = 4).
+    #   16 eps.  Worst seen 3.6 eps (pure, n = 4).
     MOMENT_BOUND = {"direct": 2, "invariants": 4, "collective": 8, "cycle": 4, "observable": 16}
     # each route's (pi2, pi3, pi4); the observable route has no n = 2
     ROUTES = {
@@ -616,8 +616,10 @@ class TestExactOracle:
         # float input.  w = -16 witness sums terms up to 16 * 8 / 24 in size,
         # each off by a moment error above times its coefficient and by a
         # few roundings, whatever the size of w: within 16 eps = 3.6e-15.
-        # Worst seen: 7.5 eps = 1.7e-15 (pure), 4.0 eps (singlet), and 0.7
-        # and 0.2 eps at werner 1/3 -/+ 1e-9, where |w| is about 4e-10.
+        # Worst seen: 2.7 eps (rank 2), 2.0 eps (pure), 0 (singlet, whose
+        # entries are exact), and 0.6 and 0.1 eps at werner 1/3 -/+ 1e-9,
+        # where |w| is about 4e-10; over 3450 random Haar-pure, HS and rank-2
+        # states, 8.1 eps = 1.8e-15 (pure).
         for label, rho in exact_oracle_states():
             _, det = exact_moments_and_det(rho)
             got = uwitness.witness.witness_value(moments_direct(rho))

@@ -364,8 +364,12 @@ class TestEstimate:
             (True, [1, 0, 0, 0], "shots must be an integer, got True"),
             (1000.0, [500, 0, 0, 500], r"shots must be an integer, got 1000\.0"),
             (2**53 + 1, [2**53 + 1, 0, 0, 0], r"shots must be <= 2\*\*53"),
+            (3, [True, True, True, False], "counts must be integers, not bools"),
+            (3, np.array([True, True, True, False]), "counts must be integers, not bools"),
+            (3, [1, 1, 1], "counts must have 4 entries, got shape \\(3,\\)"),
         ],
-        ids=["zero-shots", "negative", "fractional", "wrong-sum", "bool-shots", "float-shots", "past-2**53"],
+        ids=["zero-shots", "negative", "fractional", "wrong-sum", "bool-shots", "float-shots", "past-2**53",
+             "bool-counts-list", "bool-counts-array", "three-counts"],
     )
     def test_hand_built_record_rejected(self, shots, counts, message):
         with pytest.raises(ValueError, match=message):

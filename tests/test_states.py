@@ -77,6 +77,17 @@ class TestNamedStates:
         assert np.allclose(werner(0.0), np.eye(4) / 4, atol=1e-14)
         assert np.allclose(werner(1.0), singlet(), atol=1e-14)
 
+    @pytest.mark.parametrize("ctor", [singlet, phi_plus, lambda: werner(1.0)],
+                             ids=["singlet", "phi_plus", "werner-1"])
+    def test_maximally_entangled_states_are_exact(self, ctor):
+        # g g^dag / tr(g g^dag) of an exact vector: no rounded 1/sqrt(2)
+        rho = ctor()
+        assert set(rho.real.ravel().tolist()) <= {0.0, 0.5, -0.5}
+        assert not rho.imag.any()
+
+    def test_werner_one_is_the_singlet(self):
+        assert np.array_equal(werner(1.0), singlet())
+
     def test_werner_parameter_range(self):
         with pytest.raises(ValueError):
             werner(1.2)
@@ -97,6 +108,15 @@ class TestNamedStates:
         assert abs(rho0[3, 3] - 1.0) < 1e-14  # |11>
         rho1 = pure_schmidt(1.0)
         assert abs(rho1[0, 0] - 1.0) < 1e-14  # |00>
+
+    @pytest.mark.parametrize("lam1", [-0.1, 1.5])
+    def test_pure_schmidt_parameter_range(self, lam1):
+        with pytest.raises(ValueError, match=re.escape(f"Schmidt coefficient must be in [0, 1], got {lam1}")):
+            pure_schmidt(lam1)
+
+    def test_named_pure_schmidt_out_of_range(self):
+        with pytest.raises(ValueError, match=re.escape("Schmidt coefficient must be in [0, 1], got 2.0")):
+            named_state("pure_schmidt:2")
 
     def test_named_state_grammar(self):
         assert np.allclose(named_state("singlet"), singlet())

@@ -262,6 +262,11 @@ class TestReport:
         assert abs(rep.lower_bound - 1.0) < 1e-9
         assert rep.upper_bound == 1.0
 
+    def test_singlet_is_exact(self):
+        # the singlet's entries are exactly 0 and +-0.5, and so is its report
+        rep = witness_report(singlet())
+        assert rep.negativity == 1.0 and rep.w == 1.0
+
     def test_maximally_mixed_not_detected(self):
         rep = witness_report(MAX_MIXED)
         assert not rep.entangled

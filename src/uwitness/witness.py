@@ -1,7 +1,7 @@
 """Determinant-based entanglement witness and entanglement-measure bounds.
 
-The witness is the determinant of the partially transposed two-qubit state,
-written as a polynomial in the moments pi_n = tr[(rho^PT)^n]:
+The witness is the determinant of the partially transposed two-qubit state.
+The paper measures it as a polynomial in the moments pi_n = tr[(rho^PT)^n]:
 
     witness = (1 - 6 pi4 + 8 pi3 + 3 pi2^2 - 6 pi2) / 24
 
@@ -9,6 +9,11 @@ A two-qubit state is entangled exactly when this is negative.  The rescaled
 value w = max(0, -16 * witness) pins the negativity N and concurrence C into
 the tight corridor  f(w) <= N <= C <= w**(1/4), where f inverts the Werner
 line w = C (C + 2)^3 / 27.
+
+witness_value evaluates the polynomial, as the measurement does.
+witness_report and negativity instead read det rho^PT and N off one
+eigvalsh of rho^PT: it has at most one negative eigenvalue, so the product
+of its spectrum is the witness and its sign the verdict.
 
 Every function takes rho of shape (..., 4, 4), or any array-like w, and
 broadcasts over the leading axes; a single state gives Python floats and
@@ -18,12 +23,15 @@ that validate would reject, judged from the eigendecomposition concurrence
 needs anyway; negativity the same short of positivity, which would take a
 second eigensolve.  The moments are polynomials and pass a NaN through.
 
-Error model: w carries about 1e-15 absolute error, whatever its size, since
-the moment polynomial cancels O(1) terms.  ENTANGLEMENT_ATOL = 1e-12 on the
-witness is the verdict cut-off: werner(1/3 + 1e-12) gives w = 4.44385e-13
-against about 4.4444e-13 exactly, and entangled = False although
-N = 1.5e-12.  checks.in_corridor allows W_SLACK on w and BOUND_SLACK on the
-edges, and compares the upper edge as C^4 <= w.
+Error model: the report's w carries at most a few 1e-15 absolute error,
+since each eigenvalue of rho^PT is off by about eps, and less near w = 0,
+where the small eigenvalues scale the error down with w.  The polynomial
+carries about 1e-15 whatever the size of w, since it cancels O(1) terms.
+ENTANGLEMENT_ATOL = 1e-12 on the witness is the verdict cut-off:
+werner(1/3 + 1e-12) gives w = 4.44435e-13, the exact -16 det of its float
+matrix to 1e-28 (the polynomial gives 4.43853e-13), and entangled = False
+although N = 1.5e-12.  checks.in_corridor allows W_SLACK on w and
+BOUND_SLACK on the edges, and compares the upper edge as C^4 <= w.
 """
 
 from __future__ import annotations
@@ -111,12 +119,14 @@ def negativity(rho: np.ndarray):
     eigenvalue passes, since judging it would take an eigensolve of rho on
     top of the one of rho^PT.
     """
-    return _negativity(_require_state(rho, None)[0])
+    return _spectrum(_require_state(rho, None)[0])[0]
 
 
-def _negativity(rho):
-    lowest = _result(np.linalg.eigvalsh(partial_transpose(rho))[..., 0])
-    return 2.0 * _positive_part(-lowest)
+def _spectrum(rho):
+    """(N, det rho^PT) from the one ascending eigvalsh of rho^PT: N is
+    2 max(0, -lambda_min), det the product of the eigenvalues."""
+    lam = np.linalg.eigvalsh(partial_transpose(rho))
+    return 2.0 * _positive_part(-lam[..., 0]), _result(np.prod(lam, axis=-1))
 
 
 def concurrence(rho: np.ndarray):
@@ -130,8 +140,11 @@ def concurrence(rho: np.ndarray):
     rank-deficient states, pure or mixed, where a non-Hermitian eigensolve
     loses half the digits on the degenerate zeros.  That brute-force route
     is test code, concurrence_spinflip_eigs in tests/test_witness.py, which
-    keeps the two in agreement.  ValueError for any input that validate
-    would reject, judged from the same eigendecomposition.
+    keeps the two in agreement.  On exact input C is within 2 eps of its
+    exact value, so it can sit up to 2.2e-16 below N where the two are
+    equal (werner(k/16), the Bell states); checks.BOUND_SLACK absorbs this.
+    ValueError for any input that validate would reject, judged from the
+    same eigendecomposition.
     """
     return _concurrence(*_require_state(rho, np.linalg.eigh)[1])
 
@@ -172,7 +185,7 @@ def lower_bound(w):
 
 def upper_bound(w):
     """Tight upper bound on the concurrence: w**(1/4), saturated by pure states."""
-    return _check_w(w) ** 0.25
+    return bounds(w)[1]
 
 
 def bounds(w) -> tuple:
@@ -196,11 +209,9 @@ def witness_report(rho: np.ndarray) -> WitnessReport:
     """Witness, rescaled value, exact measures, and the bound corridor for a
     state, or for each state of a (..., 4, 4) stack (every field an array);
     ValueError for any input that validate would reject."""
-    # the gate reads d before _concurrence zeroes part of it, and a non-state
-    # never reaches the moments, where 1e100 * rho would overflow
+    # the gate reads d before _concurrence zeroes part of it
     rho, (d, v) = _require_state(rho, np.linalg.eigh)
-    n, c = _negativity(rho), _concurrence(d, v)
-    value = witness_value(moments_direct(rho))
+    (n, value), c = _spectrum(rho), _concurrence(d, v)
     # rescaled_witness already clamps w to [0, 1]: no second check
     w = rescaled_witness(value)
     lo, hi = _bounds(w)

@@ -11,7 +11,8 @@ import pytest
 from uwitness import checks, witness
 from uwitness.cli import main
 from uwitness.states import random_pure_state, save_state, werner
-from uwitness.witness import lower_bound, witness_report
+from uwitness.witness import (bounds, lower_bound, moments_direct, rescaled_witness, witness_report,
+                              witness_value)
 
 
 def run(capsys, *argv):
@@ -169,11 +170,16 @@ class TestScatter:
             assert abs(n - c) < 1e-9  # pure states: N = C
 
     def test_near_product_pure_state_inside_corridor(self):
-        # a near-product pure state: w ~ 4e-10 carries ~1e-15 absolute error,
-        # which w**0.25 magnifies beyond a 1e-9 slack
-        rep = witness_report(random_pure_state(np.random.default_rng(315500)))
-        assert rep.concurrence > rep.upper_bound + 1e-9
-        assert checks.in_corridor(rep.w, rep.lower_bound, rep.negativity, rep.concurrence)
+        # a near-product pure state: the moment polynomial's w ~ 4e-10 carries
+        # ~1e-15 absolute error, which w**0.25 magnifies beyond a 1e-9 slack
+        # (the report's w, the product of the spectrum of rho^PT, sits within
+        # 2e-15 of C there, so the premise is stated on the polynomial)
+        rho = random_pure_state(np.random.default_rng(315500))
+        rep = witness_report(rho)
+        w = rescaled_witness(witness_value(moments_direct(rho)))
+        lo, hi = bounds(w)
+        assert rep.concurrence > hi + 1e-9
+        assert checks.in_corridor(w, lo, rep.negativity, rep.concurrence)
 
     def test_seed_is_required(self, capsys):
         code, _, err = run(capsys, "--command", "scatter", "--samples", "3")

@@ -612,8 +612,8 @@ class TestExactOracle:
                     assert abs(Fraction(got) - want) <= self.MOMENT_BOUND[route] * self.EPS, (label, n)
 
     def test_w_error_is_about_1e_15(self):
-        # The witness docstring's error model, against the exact det of the
-        # float input.  w = -16 witness sums terms up to 16 * 8 / 24 in size,
+        # The moment polynomial's error model (the witness docstring), against
+        # the exact det of the float input.  w = -16 witness sums terms up to 16 * 8 / 24 in size,
         # each off by a moment error above times its coefficient and by a
         # few roundings, whatever the size of w: within 16 eps = 3.6e-15.
         # Worst seen: 2.7 eps (rank 2), 2.0 eps (pure), 0 (singlet, whose
@@ -623,4 +623,23 @@ class TestExactOracle:
         for label, rho in exact_oracle_states():
             _, det = exact_moments_and_det(rho)
             got = uwitness.witness.witness_value(moments_direct(rho))
+            assert 16 * abs(Fraction(got) - det) <= 16 * self.EPS, label
+
+    def test_report_w_error_is_about_1e_15(self):
+        # The report's witness is the product of the four eigenvalues of
+        # rho^PT from one eigvalsh.  eigvalsh is backward stable and
+        # ||rho^PT|| <= 1, so each eigenvalue is off by about eps; an error in
+        # one moves 16 det by 16 times the product of the other three, about
+        # 2 on the maximally entangled spectrum (1/2, 1/2, 1/2, -1/2) and
+        # smaller elsewhere, and the product's three roundings add 3 eps of
+        # 16 |det| <= 1: within 16 eps, as for the polynomial.  Near w = 0
+        # the small eigenvalues shrink the error with w, which the
+        # polynomial's cancellation does not.  Worst seen: 1.05 eps (hs),
+        # 0.46 eps (pure), 0.18 eps (rank 2), 0 on the singlet, 2e-10 eps at
+        # werner 1/3 -/+ 1e-9 (0.6 and 0.1 eps for the polynomial) and 1e-33
+        # eps on the product state; over 3450 random Haar-pure, HS and rank-2
+        # states, 11.0 eps = 2.4e-15 (pure, w near 1).
+        for label, rho in exact_oracle_states():
+            _, det = exact_moments_and_det(rho)
+            got = uwitness.witness.witness_report(rho).witness
             assert 16 * abs(Fraction(got) - det) <= 16 * self.EPS, label

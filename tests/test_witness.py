@@ -7,6 +7,7 @@ from uwitness.invariants import apply_local_unitary
 from uwitness.linalg import partial_transpose
 from uwitness.states import (
     haar_unitary,
+    phi_plus,
     pure_schmidt,
     random_mixed_state,
     random_pure_state,
@@ -123,6 +124,19 @@ def test_concurrence_known_values():
     assert concurrence(MAX_MIXED) == 0.0
     for p in (0.5, 0.8):
         assert abs(concurrence(werner(p)) - (3 * p - 1) / 2) < 1e-12
+
+
+def test_concurrence_within_2_eps_on_exact_input():
+    # werner(k/16) and the Bell states are built with exact entries, so their
+    # exact concurrence is max(0, (3p - 1)/2) and 1.  The eigh and the svd each
+    # round, and the worst is 1.5 eps (p = 11/16); C sits up to 2.2e-16 below
+    # N here (p = 7/16, 11/16, 15/16 and the Bell states), which
+    # checks.BOUND_SLACK absorbs
+    eps = np.finfo(float).eps
+    cases = [(werner(k / 16), max(Fraction(0), (3 * Fraction(k, 16) - 1) / 2)) for k in range(17)]
+    cases += [(singlet(), 1), (phi_plus(), 1)]
+    for rho, exact in cases:
+        assert abs(Fraction(concurrence(rho)) - exact) <= 2 * eps, exact
 
 
 def test_concurrence_pure_schmidt_closed_form():

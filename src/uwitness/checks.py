@@ -2,12 +2,17 @@
 
 `uwitness --command verify` and tests/test_acceptance.py both run these; the
 callers choose the states and seeds.  Whether a claim passes is decided here,
-once: each claim's pass mark is defined next to it (ROUTE_MARK, DRIFT_MARK,
-EXACT, PAPER_SPECTRA_AND_COUNT, in_corridor's slacks), and passes() is the
-one rule that compares a deviation with its mark.  A check on states takes a
-(..., 4, 4) stack of them, plus an rng and a rotation count where the claim
-needs them, passes the whole stack to each layer in one call, and returns
-its worst deviation over the stack.  No check loops over the states.
+once.  There are two kinds of claim.  A rounding claim (moment_routes,
+invariant_route, local_unitary_drift, witness_det and the edges of
+in_corridor) passes below ROUNDING_MARK, one multiple of eps derived from the
+longest rounding chain among them; an exact claim (projector_composition,
+nondemolition) passes at EXACT, exactly 0; spectra_and_count is compared
+with PAPER_SPECTRA_AND_COUNT.  passes() is the one rule that compares a
+deviation with its mark.  A check on states takes a (..., 4, 4) stack of
+them, plus an rng and a rotation count where the claim needs them, passes the
+whole stack to each layer in one call, and returns its worst deviation over
+the stack with the flat index of the state that reaches it, so that a failure
+names the state that reproduces it.  No check loops over the states.
 
 The operator claims (projector composition, the {1, 4} and {0, 2, 4}
 spectra with the seven projections, nondemolition) are about the two swap
@@ -36,17 +41,44 @@ from .linalg import _matrix
 from .states import haar_unitary
 from .witness import moments_direct, witness_report, witness_value
 
-BOUND_SLACK = 1e-9
-# absolute rounding error of the report's w, -16 times the product of the
-# spectrum of rho^PT, each eigenvalue off by about eps; measured at up to
-# 2.4e-15 on Haar-pure states near w = 1
-W_SLACK = 1e-14
+_EPS = np.finfo(float).eps
+
+# The one pass mark of the rounding claims, set by the longest rounding chain
+# among them, local_unitary_drift's: rho -> rho' = (u_a x u_b) rho (u_a x
+# u_b)^dag -> T = decompose(rho') -> an invariant.  To first order, with each
+# rounding at its largest:
+#   - apply_local_unitary: u_a x u_b rounds each entry of u by 3 eps, and
+#     each of the two 4x4 complex products, of 4-term sums, by 6 eps, all on
+#     |u| |rho| |u^dag| <= 1 entrywise (|rho_kl|^2 <= rho_kk rho_ll): an
+#     entry of rho' is off by 2 x 3 + 2 x 6 = 18 eps;
+#   - decompose: a 16-term sum, 4 of its terms nonzero, each an entry of
+#     rho' times +-1 or +-i: T_ij is off by 4 x 18 + 9 = 81 eps;
+#   - makhlin: polynomials of degree <= 4 in |T_ij| <= 1, whose gradient sums
+#     to at most 4 x 3 sqrt(3) < 21 over T (i3 = |beta^T beta|_F^2, with
+#     |beta|_2 <= 1 and |beta|_F <= sqrt(3)), and whose own roundings, <= 10
+#     deep on terms summing to <= 18, add <= 180 eps: an invariant of rho' is
+#     off by 21 x 81 + 180 = 1881 eps, one of rho by 21 x 9 + 180 = 369 eps.
+# The drift is thus below 2250 eps; the mark is the next power of two, 2^12
+# eps (9.1e-13).  Every other rounding claim compares O(1) values at the end
+# of a shorter chain.
+ROUNDING_MARK = 2 ** 12 * _EPS
+# The upper edge's absolute slack on C^4 - w, 45 eps (1e-14): the report's w
+# is within 16 eps of -16 det rho^PT of the float matrix (the exact-oracle
+# bound of tests/test_collective.py) and C within 2 eps, so C^4 within 8 eps;
+# the rest is for the float matrix of a pure state, rank 1 only to its
+# rounding.  The worst C^4 - w measured on 10^5 Haar-pure states is 27 eps.
+W_SLACK = 45 * _EPS
 
 
-def _worst(*deviations) -> float:
-    """The largest entry of the deviation arrays, each entry >= 0 or NaN:
-    NaN if any entry is, 0 for no state."""
-    return float(np.max([np.max(x, initial=0.0) for x in deviations]))
+def _worst(per_state) -> tuple:
+    """(largest entry, its flat index) of a per-state deviation array over
+    the leading axes, every entry >= 0 or NaN: the first NaN if any, and
+    (0.0, None) for no state."""
+    per_state = np.asarray(per_state)
+    if per_state.size == 0:
+        return 0.0, None
+    i = int(np.argmax(per_state))  # the first NaN, if there is one
+    return float(per_state.flat[i]), i
 
 
 def _layers(n: int) -> tuple:
@@ -100,10 +132,7 @@ def _cycle_spectrum(n: int) -> dict:
 
 # ---- the claims -------------------------------------------------------------
 
-# The pass marks.  A rounding claim passes below its mark, set far above the
-# ~1e-15 that any state reaches; an exact claim passes at exactly 0.
-ROUTE_MARK = 1e-10  # moment_routes, invariant_route and witness_det
-DRIFT_MARK = 1e-9  # local_unitary_drift
+# A rounding claim passes below ROUNDING_MARK; an exact claim at exactly 0.
 EXACT = 0.0  # projector_composition and nondemolition, exact by construction
 # spectra_and_count: the spectra {1, 4} and {0, 2, 4}, and seven projections
 PAPER_SPECTRA_AND_COUNT = ((1.0, 4.0), (0.0, 2.0, 4.0), 7)
@@ -122,10 +151,11 @@ def route_spread(values) -> np.ndarray:
     return values.max(axis=0) - values.min(axis=0)
 
 
-def moment_routes(batch) -> float:
+def moment_routes(batch) -> tuple:
     """Largest route_spread of the direct, cycle, sequential-table and
     (n >= 3) observable moments for n = 2, 3, 4, or gap between a table's
-    total probability and 1; passes below ROUTE_MARK."""
+    total probability and 1, with its state (_worst); passes below
+    ROUNDING_MARK."""
     devs = []
     for n, direct in zip(COPY_COUNTS, moments_direct(batch).as_tuple()):
         table = outcome_probabilities(batch, n)
@@ -133,7 +163,7 @@ def moment_routes(batch) -> float:
         if n >= 3:
             values.append(moment_via_observable(batch, n))
         devs += [route_spread(values), np.abs(table.as_vector().sum(axis=-1) - 1.0)]
-    return _worst(*devs)
+    return _worst(np.max(devs, axis=0))
 
 
 def projector_composition() -> float:
@@ -181,10 +211,12 @@ def nondemolition() -> float:
     return dev
 
 
-def invariant_route(batch) -> float:
+def invariant_route(batch) -> tuple:
     """max |direct - invariant-route moment| over pi2, pi3 and pi4, the
-    route_spread of the two routes; passes below ROUTE_MARK."""
-    return _worst(route_spread([moments_direct(batch).as_tuple(), moments_via_invariants(batch).as_tuple()]))
+    route_spread of the two routes, with its state (_worst); passes below
+    ROUNDING_MARK."""
+    spread = route_spread([moments_direct(batch).as_tuple(), moments_via_invariants(batch).as_tuple()])
+    return _worst(np.max(spread, axis=0))
 
 
 def _invariant_values(rho) -> np.ndarray:
@@ -193,22 +225,22 @@ def _invariant_values(rho) -> np.ndarray:
     return np.stack([*vars(inv).values(), *inv.y], axis=-1)
 
 
-def local_unitary_drift(batch, rng, rotations: int) -> float:
+def local_unitary_drift(batch, rng, rotations: int) -> tuple:
     """Largest change of any of the nine Makhlin invariants or the six y
     combinations under `rotations` local unitaries u_a x u_b per state, each
     factor Haar-random from `rng` (drawn state by state, rotation by rotation,
-    u_a before u_b); passes below DRIFT_MARK."""
+    u_a before u_b), with its state (_worst); passes below ROUNDING_MARK."""
     batch = _matrix(batch)
     u = haar_unitary(rng, shape=(*batch.shape[:-2], rotations, 2))
     rotated = apply_local_unitary(batch[..., None, :, :], u[..., 0, :, :], u[..., 1, :, :])
     base = _invariant_values(batch)[..., None, :]
-    return _worst(np.abs(_invariant_values(rotated) - base))
+    return _worst(np.max(np.abs(_invariant_values(rotated) - base), axis=(-2, -1), initial=0.0))
 
 
-def witness_det(batch) -> float:
+def witness_det(batch) -> tuple:
     """max |witness polynomial - det rho^PT|, the determinant being
-    witness_report's, the product of the spectrum of the partial transpose;
-    passes below ROUTE_MARK.  ValueError for a batch that validate would
+    witness_report's, the product of the spectrum of the partial transpose,
+    with its state (_worst); passes below ROUNDING_MARK.  ValueError for a batch that validate would
     reject, from witness_report before any moment is taken."""
     det = witness_report(batch).witness
     return _worst(np.abs(witness_value(moments_direct(batch)) - det))
@@ -216,18 +248,22 @@ def witness_det(batch) -> float:
 
 def in_corridor(w, lo, n, c):
     """f(w) <= N <= C <= w^(1/4) up to rounding, for lo = f(w); elementwise
-    on arrays.
+    on arrays.  The edges f(w) <= N and N <= C are rounding claims and pass
+    within ROUNDING_MARK.
 
-    The upper edge is compared through its forward map, C^4 <= w: near
-    w = 0, w**0.25 magnifies w's rounding error to several 1e-9, which
-    would reject valid near-product pure states.
+    The upper edge is compared through its forward map, C^4 <= w, within
+    ROUNDING_MARK relative and W_SLACK absolute: near w = 0, w**0.25
+    magnifies w's rounding error to several 1e-9, which would reject valid
+    near-product pure states.
     """
-    return (lo - BOUND_SLACK <= n) & (n <= c + BOUND_SLACK) & (c ** 4 <= w * (1.0 + BOUND_SLACK) + W_SLACK)
+    return ((lo - ROUNDING_MARK <= n) & (n <= c + ROUNDING_MARK)
+            & (c ** 4 <= w * (1.0 + ROUNDING_MARK) + W_SLACK))
 
 
 def corridor(batch) -> tuple:
-    """(worst of f(w) - N and N - C, worst C^4 - w, whether every state is
-    in_corridor), w, N, C and f(w) of the whole stack from one witness_report.
+    """(worst of f(w) - N and N - C, worst C^4 - w, flat index of the first
+    state not in_corridor or None if every state is), w, N, C and f(w) of the
+    whole stack from one witness_report.
 
     The two worst values are the closest approach to an edge over the
     states the report calls entangled, -inf if there are none: a separable
@@ -238,5 +274,6 @@ def corridor(batch) -> tuple:
     entangled = np.asarray(rep.entangled)
     slack = np.max(np.maximum(lo - n, n - c)[entangled], initial=-np.inf)
     upper = np.max((c ** 4 - w)[entangled], initial=-np.inf)
-    inside = bool(np.all(in_corridor(w, lo, n, c)))
-    return float(slack), float(upper), inside
+    inside = np.ravel(in_corridor(w, lo, n, c))
+    outside = None if inside.all() else int(np.argmin(inside))
+    return float(slack), float(upper), outside

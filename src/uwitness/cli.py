@@ -9,7 +9,9 @@ Four commands, selected with --command:
 
 verify runs the uwitness.checks functions that tests/test_acceptance.py
 runs too, and takes each claim's pass mark and pass rule from there, so
-this module writes no threshold; report's max_moment_deviation is
+this module writes no threshold.  A FAIL line of a check on states ends with
+'at sample i of --seed s --ensemble k', the state that reproduces it;
+report's max_moment_deviation is
 checks.route_spread, the rule the route checks apply.  Suite -> acceptance
 criterion: moment routes -> 3, projector composition -> none (verify only),
 spectra and projection count -> 4, stage-1 nondemolition -> 6, invariant
@@ -182,15 +184,23 @@ def cmd_simulate(args) -> tuple:
 
 def _verify_suites(kind: str, samples: int, seed: int):
     """Yield (name, detail, passed) rows, one uwitness.checks claim each, every
-    check taking its states as one stack."""
+    check taking its states as one stack.  A failed state check's detail names
+    the sample that reproduces it."""
     batch = states.StateSampler(kind, seed).sample(samples)
     lu_rng = np.random.default_rng(_derived_seeds(seed, 1)[0])
+
+    def where(ok, index):
+        return "" if ok else f" at sample {index} of --seed {seed} --ensemble {kind}"
 
     def max_dev(name, dev, mark):
         return name, f"max dev {dev:.2e}", checks.passes(dev, mark)
 
-    yield max_dev("moment routes agree (direct/cycle/observable/sequential)",
-                  checks.moment_routes(batch), checks.ROUTE_MARK)
+    def rounding(name, worst):
+        dev, index = worst
+        ok = checks.passes(dev, checks.ROUNDING_MARK)
+        return name, f"max dev {dev:.2e}{where(ok, index)}", ok
+
+    yield rounding("moment routes agree (direct/cycle/observable/sequential)", checks.moment_routes(batch))
     yield max_dev("pairwise-composed projectors equal (I +/- layer)/2",
                   checks.projector_composition(), checks.EXACT)
     found = s3, s4, count = checks.spectra_and_count()
@@ -198,15 +208,14 @@ def _verify_suites(kind: str, samples: int, seed: int):
            found == checks.PAPER_SPECTRA_AND_COUNT)
     yield max_dev("stage-1 parity is nondemolition on the symmetrized stack",
                   checks.nondemolition(), checks.EXACT)
-    yield max_dev("invariant combinations reproduce the moments",
-                  checks.invariant_route(batch), checks.ROUTE_MARK)
-    yield max_dev("invariants unchanged under local unitaries",
-                  checks.local_unitary_drift(batch[: max(1, samples // 20)], lu_rng, 10), checks.DRIFT_MARK)
-    yield max_dev("witness polynomial equals det of the partial transpose",
-                  checks.witness_det(batch), checks.ROUTE_MARK)
-    slack, upper, inside = checks.corridor(batch)
+    yield rounding("invariant combinations reproduce the moments", checks.invariant_route(batch))
+    yield rounding("invariants unchanged under local unitaries",
+                   checks.local_unitary_drift(batch[: max(1, samples // 20)], lu_rng, 10))
+    yield rounding("witness polynomial equals det of the partial transpose", checks.witness_det(batch))
+    slack, upper, outside = checks.corridor(batch)
+    inside = outside is None
     yield ("bound corridor f(w) <= N <= C <= w^(1/4)",
-           f"worst slack {slack:.2e}, worst C^4 - w {upper:.2e}", inside)
+           f"worst slack {slack:.2e}, worst C^4 - w {upper:.2e}{where(inside, outside)}", inside)
 
 
 def cmd_verify(args):

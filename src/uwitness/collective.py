@@ -221,6 +221,7 @@ class OutcomeTable:
     probabilities: np.ndarray
 
     def __post_init__(self):
+        _check_n(self.n_copies)
         p = np.array(self.probabilities, dtype=float)
         if p.shape[-2:] != (2, 2):
             raise ValueError(f"probabilities must be (..., 2, 2) tables, got shape {p.shape}")

@@ -30,8 +30,8 @@ carries about 1e-15 whatever the size of w, since it cancels O(1) terms.
 ENTANGLEMENT_ATOL = 1e-12 on the witness is the verdict cut-off:
 werner(1/3 + 1e-12) gives w = 4.44435e-13, the exact -16 det of its float
 matrix to 1e-28 (the polynomial gives 4.43853e-13), and entangled = False
-although N = 1.5e-12.  checks.in_corridor allows W_SLACK on w and
-BOUND_SLACK on the edges, and compares the upper edge as C^4 <= w.
+although N = 1.5e-12.  checks.in_corridor allows checks.ROUNDING_MARK on
+the edges and checks.W_SLACK on w, and compares the upper edge as C^4 <= w.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def concurrence(rho: np.ndarray):
     is test code, concurrence_spinflip_eigs in tests/test_witness.py, which
     keeps the two in agreement.  On exact input C is within 2 eps of its
     exact value, so it can sit up to 2.2e-16 below N where the two are
-    equal (werner(k/16), the Bell states); checks.BOUND_SLACK absorbs this.
+    equal (werner(k/16), the Bell states); checks.ROUNDING_MARK absorbs this.
     ValueError for any input that validate would reject, judged from the
     same eigendecomposition.
     """
@@ -151,8 +151,8 @@ def concurrence(rho: np.ndarray):
 
 def _concurrence(d, v):
     # eigh leaves a zero eigenvalue at a few eps of the largest, and its ~1e-9
-    # square root would enter every lam_j: such and negative ones are set to 0 in d
-    d[d <= _ZERO_EIGENVALUE_RTOL * d[..., -1:]] = 0.0
+    # square root would enter every lam_j: such and negative ones count as 0
+    d = np.where(d <= _ZERO_EIGENVALUE_RTOL * d[..., -1:], 0.0, d)
     a = v * np.sqrt(d)[..., None, :]
     lam = np.linalg.svd(a.swapaxes(-1, -2) @ _SPIN_FLIP @ a, compute_uv=False)
     return _positive_part(2.0 * lam.max(axis=-1) - lam.sum(axis=-1))
@@ -209,7 +209,6 @@ def witness_report(rho: np.ndarray) -> WitnessReport:
     """Witness, rescaled value, exact measures, and the bound corridor for a
     state, or for each state of a (..., 4, 4) stack (every field an array);
     ValueError for any input that validate would reject."""
-    # the gate reads d before _concurrence zeroes part of it
     rho, (d, v) = _require_state(rho, np.linalg.eigh)
     (n, value), c = _spectrum(rho), _concurrence(d, v)
     # rescaled_witness already clamps w to [0, 1]: no second check

@@ -57,16 +57,16 @@ def test_criterion_1_bound_corridor_on_10000_states(tmp_path):
 
 def test_criterion_2_witness_equals_determinant():
     """10^3 states: moment polynomial equals the product of PT eigenvalues."""
-    worst = checks.witness_det(hs_states(101, 1000))
-    ok = checks.passes(worst, checks.ROUTE_MARK)
+    worst, _ = checks.witness_det(hs_states(101, 1000))
+    ok = checks.passes(worst, checks.ROUNDING_MARK)
     announce(2, f"witness equals det of partial transpose (max dev {worst:.2e})", ok)
 
 
 def test_criterion_3_four_moment_routes_agree():
     """200 states, n in 2..4: direct, cycle, observable, and sequential-
     probability routes agree pairwise, and every outcome table sums to 1."""
-    worst = checks.moment_routes(hs_states(4001, 200))
-    ok = checks.passes(worst, checks.ROUTE_MARK)
+    worst, _ = checks.moment_routes(hs_states(4001, 200))
+    ok = checks.passes(worst, checks.ROUNDING_MARK)
     announce(3, f"four moment routes agree on 200 states (max dev {worst:.2e})", ok)
 
 
@@ -81,9 +81,9 @@ def test_criterion_4_observable_spectra_and_projection_count():
 def test_criterion_5_invariants_route_and_local_unitary_invariance():
     """Invariant combinations reproduce the moments on 10^3 states, and all
     invariants survive 100 random local unitaries."""
-    worst = checks.invariant_route(hs_states(7001, 1000))
-    worst_lu = checks.local_unitary_drift(hs_states(9001, 20), np.random.default_rng(31415), 5)
-    ok = checks.passes(worst, checks.ROUTE_MARK) and checks.passes(worst_lu, checks.DRIFT_MARK)
+    worst, _ = checks.invariant_route(hs_states(7001, 1000))
+    worst_lu, _ = checks.local_unitary_drift(hs_states(9001, 20), np.random.default_rng(31415), 5)
+    ok = checks.passes(worst, checks.ROUNDING_MARK) and checks.passes(worst_lu, checks.ROUNDING_MARK)
     announce(
         5,
         f"invariant moments (max dev {worst:.2e}), local-unitary drift ({worst_lu:.2e})",
@@ -136,7 +136,7 @@ def test_criterion_7_reference_states():
     w = rescaled_witness(witness_value(moments_direct(pure)))
     dev = np.abs(concurrence(pure) ** 4 - w)
     worst_pure = dev.max()
-    ok = ok and bool(np.all(dev <= 1e-9 * w + 1e-14))
+    ok = ok and bool(np.all(dev <= checks.ROUNDING_MARK * w + checks.W_SLACK))
 
     boundary = witness_value(moments_direct(werner(1.0 / 3.0)))
     ok = ok and abs(boundary) < 1e-12

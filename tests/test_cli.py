@@ -30,7 +30,7 @@ class TestReport:
         assert abs(doc["witness"] + 0.0625) < 1e-12
         assert doc["entangled"] is True
         assert set(doc["moments"]) == {"direct", "collective", "invariants"}
-        assert doc["max_moment_deviation"] < 1e-10
+        assert doc["max_moment_deviation"] < checks.ROUNDING_MARK
 
     @pytest.mark.parametrize("state", ["singlet", "phi_plus"])
     def test_maximally_entangled_moments_are_exact(self, capsys, state):
@@ -166,12 +166,12 @@ class TestScatter:
         assert code == 0
         for line in out.strip().split("\n")[1:]:
             w, n, c = map(float, line.split(","))
-            assert abs(c**4 - w) <= 1e-9 * w + 1e-14
-            assert abs(n - c) < 1e-9  # pure states: N = C
+            assert abs(c**4 - w) <= checks.ROUNDING_MARK * w + checks.W_SLACK
+            assert abs(n - c) < checks.ROUNDING_MARK  # pure states: N = C
 
     def test_near_product_pure_state_inside_corridor(self):
         # a near-product pure state: the moment polynomial's w ~ 4e-10 carries
-        # ~1e-15 absolute error, which w**0.25 magnifies beyond a 1e-9 slack
+        # ~1e-15 absolute error, which w**0.25 magnifies past 1e-9
         # (the report's w, the product of the spectrum of rho^PT, sits within
         # 2e-15 of C there, so the premise is stated on the polynomial)
         rho = random_pure_state(np.random.default_rng(315500))
@@ -252,17 +252,21 @@ class TestVerify:
         assert "FAIL  stage-1 parity is nondemolition" in out
         assert out.count("FAIL") == 3 and out.endswith("overall: FAIL\n")
 
-    def test_route_lines_read_the_mark_in_checks(self, capsys, monkeypatch):
-        # verify keeps no copy of the route mark: at mark 0 the three route
-        # lines, whose deviations are ~1e-16 here, fail, and nothing else does
-        monkeypatch.setattr(checks, "ROUTE_MARK", 0.0)
-        code, out, _ = run(capsys, "--command", "verify", "--samples", "10", "--seed", "4")
+    def test_fail_line_names_the_sample(self, capsys, monkeypatch):
+        # the cycle route of sample 7 alone is off, by 16 x ROUNDING_MARK
+        # (1.5e-11): the FAIL line names the sample, and rerunning verify
+        # with that seed and ensemble reproduces it
+        offset = 16 * checks.ROUNDING_MARK
+        cycle = checks.moment_cycle
+        monkeypatch.setattr(checks, "moment_cycle", lambda rho, n: cycle(rho, n) + offset * (np.arange(10) == 7))
+        code, out, _ = run(capsys, "--command", "verify", "--ensemble", "pure", "--samples", "10", "--seed", "4")
         assert code == 1
-        failed = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
-        assert failed == ["FAIL  moment routes agree (direct/cycle/observable/sequential)",
-                          "FAIL  invariant combinations reproduce the moments",
-                          "FAIL  witness polynomial equals det of the partial transpose"]
-        assert out.endswith("overall: FAIL\n")
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 1 and out.endswith("overall: FAIL\n")
+        assert failed[0].startswith("FAIL  moment routes agree (direct/cycle/observable/sequential): max dev 1.4")
+        assert failed[0].endswith(" at sample 7 of --seed 4 --ensemble pure")
+        # a PASS line names no sample
+        assert " at sample " not in out.replace(failed[0], "")
 
     def test_corridor_violation_fails(self, capsys, monkeypatch):
         # witness_report takes both edges from the unchecked form, its w being clamped already
@@ -271,6 +275,9 @@ class TestVerify:
         code, out, _ = run(capsys, "--command", "verify", "--samples", "10", "--seed", "4")
         assert code == 1
         assert "FAIL  bound corridor" in out and out.count("FAIL") == 2
+        # sample 0 is entangled well inside; the raised f(w) = 1e-6 is above
+        # N = 0 first on sample 1, a separable state
+        assert " worst C^4 - w -1.87e-03 at sample 1 of --seed 4 --ensemble hs\n" in out
         assert out.endswith("overall: FAIL\n")
 
 

@@ -343,6 +343,12 @@ class TestSequentialProbabilities:
         with pytest.raises(ValueError):
             table.probabilities[0, 0] = 1.0  # frozen storage
 
+    @pytest.mark.parametrize("n", [7, 1, 2.0, True])
+    def test_outcome_table_copy_count_rejected(self, n):
+        # as for a hand-built ShotRecord: a table for n = 7 is no table of the measurement
+        with pytest.raises(ValueError, match=rf"copy count must be one of \(2, 3, 4\), got {n}"):
+            OutcomeTable(n_copies=n, probabilities=np.zeros((2, 2)))
+
 
 def symmetrized_copies(rho, n):
     """(rho^(x)n + L rho^(x)n L)/2 for the dense stage-1 layer L."""

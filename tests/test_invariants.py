@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from uwitness import checks
 from uwitness.invariants import (
     PAULI,
     MakhlinInvariants,
@@ -144,7 +145,7 @@ class TestLocalUnitaryInvariance:
             rotated_rho = apply_local_unitary(rho, haar_unitary(rng), haar_unitary(rng))
             rotated = makhlin(decompose(rotated_rho))
             for name in INVARIANT_FIELDS:
-                assert abs(getattr(rotated, name) - getattr(base, name)) < 1e-9, name
+                assert abs(getattr(rotated, name) - getattr(base, name)) < checks.ROUNDING_MARK, name
 
     def test_moments_are_invariant(self):
         rng = np.random.default_rng(46)
@@ -153,7 +154,7 @@ class TestLocalUnitaryInvariance:
         for _ in range(10):
             rotated = apply_local_unitary(rho, haar_unitary(rng), haar_unitary(rng))
             m = moments_via_invariants(rotated)
-            assert max(abs(a - b) for a, b in zip(m.as_tuple(), base.as_tuple())) < 1e-10
+            assert max(abs(a - b) for a, b in zip(m.as_tuple(), base.as_tuple())) < checks.ROUNDING_MARK
 
     def test_rotation_preserves_physicality_and_spectrum(self):
         rng = np.random.default_rng(47)

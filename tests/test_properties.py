@@ -3,8 +3,8 @@ states at the PPT boundary p = 1/3 and near-singular states.
 
 hypothesis draws them under a derandomized profile with no example
 database, so every run sees the same examples, and a bounded example count
-keeps the module under a second.  The tolerances are the ones verify and
-the acceptance criteria use.
+keeps the module under a second.  The tolerance is checks.ROUNDING_MARK, the
+mark of the rounding claims in verify and the acceptance criteria.
 """
 
 import numpy as np
@@ -20,8 +20,6 @@ from uwitness.witness import (ENTANGLEMENT_ATOL, concurrence, moments_direct, ne
 
 DERANDOMIZED = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
-ROUTE_TOL = checks.ROUTE_MARK  # moment routes and witness = det
-LU_TOL = checks.DRIFT_MARK  # local-unitary drift
 
 _amplitudes = st.floats(-1.0, 1.0, allow_subnormal=False)
 _weights = st.floats(1e-3, 1.0)
@@ -87,13 +85,13 @@ edge_states = st.one_of(
 def test_moment_routes_agree(rho):
     direct = np.array(moments_direct(rho).as_tuple())
     for route in (moments_collective, moments_via_invariants):
-        assert np.abs(np.array(route(rho).as_tuple()) - direct).max() < ROUTE_TOL
+        assert np.abs(np.array(route(rho).as_tuple()) - direct).max() < checks.ROUNDING_MARK
 
 
 @DERANDOMIZED
 @given(edge_states)
 def test_witness_is_det_and_decides_entanglement(rho):
-    assert checks.witness_det(rho[None]) < ROUTE_TOL
+    assert checks.passes(checks.witness_det(rho[None])[0], checks.ROUNDING_MARK)
     value = witness_value(moments_direct(rho))
     # outside the ENTANGLEMENT_ATOL band, the sign of det rho^PT is the
     # PPT test: at most one eigenvalue of rho^PT is negative
@@ -106,13 +104,13 @@ def test_witness_is_det_and_decides_entanglement(rho):
 @given(edge_states, st.integers(0, 2 ** 32 - 1))
 def test_local_unitary_invariance(rho, seed):
     rng = np.random.default_rng(seed)
-    assert checks.local_unitary_drift(rho[None], rng, 2) < LU_TOL
+    assert checks.passes(checks.local_unitary_drift(rho[None], rng, 2)[0], checks.ROUNDING_MARK)
     u_a, u_b = haar_unitary(rng, shape=(2,))
     rotated = apply_local_unitary(rho, u_a, u_b)
     for a, b in zip(moments_direct(rho).as_tuple(), moments_direct(rotated).as_tuple()):
-        assert abs(a - b) < LU_TOL
-    assert abs(negativity(rho) - negativity(rotated)) < LU_TOL
-    assert abs(concurrence(rho) - concurrence(rotated)) < LU_TOL
+        assert abs(a - b) < checks.ROUNDING_MARK
+    assert abs(negativity(rho) - negativity(rotated)) < checks.ROUNDING_MARK
+    assert abs(concurrence(rho) - concurrence(rotated)) < checks.ROUNDING_MARK
 
 
 @DERANDOMIZED

@@ -1,8 +1,10 @@
 """The (..., 4, 4) stack contract: every stack-taking layer equals its
 per-state results, broadcasts over several leading axes, rejects non-finite
 input by the index of the state, and the sampler's stream does not depend on
-how it is split into blocks."""
+how it is split into blocks.  The checks of uwitness.checks take such a stack
+and name the state of their worst deviation."""
 
+import dataclasses
 import re
 import tracemalloc
 
@@ -212,28 +214,90 @@ def test_empty_stack_gives_empty_results():
 def test_state_checks_take_an_empty_stack():
     # every deviation is >= 0, so no state reads 0, as every route's empty results allow
     empty = StateSampler("hs", 4).sample(0)
-    assert checks.moment_routes(empty) == 0.0
-    assert checks.invariant_route(empty) == 0.0
-    assert checks.witness_det(empty) == 0.0
-    assert checks.local_unitary_drift(empty, np.random.default_rng(0), 3) == 0.0
-    assert checks.corridor(empty) == (-np.inf, -np.inf, True)
+    assert checks.moment_routes(empty) == (0.0, None)
+    assert checks.invariant_route(empty) == (0.0, None)
+    assert checks.witness_det(empty) == (0.0, None)
+    assert checks.local_unitary_drift(empty, np.random.default_rng(0), 3) == (0.0, None)
+    assert checks.corridor(empty) == (-np.inf, -np.inf, None)
 
 
 def test_route_checks_pass_a_nan_on():
     # a NaN route result is no agreement: the check reads NaN, which no
-    # threshold passes, and not the largest of the other deviations
+    # threshold passes, and not the largest of the other deviations; the
+    # worst state is the NaN's
     stack = StateSampler("hs", 4).sample(3)
     stack[1, 3, 3] = np.nan
-    assert np.isnan(checks.moment_routes(stack))
-    assert np.isnan(checks.invariant_route(stack))
-    for mark in (checks.ROUTE_MARK, checks.DRIFT_MARK, checks.EXACT):
+    for check in (checks.moment_routes, checks.invariant_route):
+        dev, index = check(stack)
+        assert np.isnan(dev) and index == 1
+    for mark in (checks.ROUNDING_MARK, checks.EXACT):
         assert not checks.passes(np.nan, mark)
 
 
 def test_exact_claims_pass_at_zero_only():
     assert checks.passes(0.0, checks.EXACT)
     assert not checks.passes(5e-324, checks.EXACT)
-    assert checks.passes(5e-324, checks.ROUTE_MARK) and not checks.passes(checks.ROUTE_MARK, checks.ROUTE_MARK)
+    assert checks.passes(5e-324, checks.ROUNDING_MARK)
+    assert not checks.passes(checks.ROUNDING_MARK, checks.ROUNDING_MARK)
+
+
+# A fault of 16 x ROUNDING_MARK (1.5e-11): at least 10 times the mark, and
+# below the 1e-10 and 1e-9 marks that the rounding claims had before they
+# shared one, which let it pass
+OFFSET = 16 * checks.ROUNDING_MARK
+FAULTY = 6  # the one state of the batch that the fault hits
+
+
+def _off(values):
+    """A copy of a per-state array with OFFSET added to state FAULTY."""
+    values = np.array(values, dtype=float)
+    values[FAULTY] += OFFSET
+    return values
+
+
+def _with_negativity(rep, edge):
+    """The report with state FAULTY's N moved to edge(rep)[FAULTY]."""
+    n = np.array(rep.negativity)
+    n[FAULTY] = edge(rep)[FAULTY]
+    return dataclasses.replace(rep, negativity=n)
+
+
+def _failing_state(worst):
+    dev, index = worst
+    return None if checks.passes(dev, checks.ROUNDING_MARK) else index
+
+
+# claim -> (the name in checks that the fault replaces, the faulty version of
+# it, the state whose failure the check reports, or None if it passes)
+ROUNDING_FAULTS = {
+    "moment_routes": ("moment_cycle", lambda f: lambda rho, n: _off(f(rho, n)),
+                      lambda b: _failing_state(checks.moment_routes(b))),
+    "invariant_route": ("moments_via_invariants",
+                        lambda f: lambda rho: dataclasses.replace(f(rho), pi4=_off(f(rho).pi4)),
+                        lambda b: _failing_state(checks.invariant_route(b))),
+    "local_unitary_drift": ("_invariant_values",
+                            # the rotated stack has the rotation axis, the unrotated one not
+                            lambda f: lambda rho: _off(f(rho)) if rho.ndim == 4 else f(rho),
+                            lambda b: _failing_state(checks.local_unitary_drift(b, np.random.default_rng(0), 3))),
+    "witness_det": ("witness_value", lambda f: lambda m: _off(f(m)),
+                    lambda b: _failing_state(checks.witness_det(b))),
+    "corridor_N_le_C": ("witness_report",
+                        lambda f: lambda b: _with_negativity(f(b), lambda r: r.concurrence + OFFSET),
+                        lambda b: checks.corridor(b)[2]),
+    "corridor_fw_le_N": ("witness_report",
+                         lambda f: lambda b: _with_negativity(f(b), lambda r: r.lower_bound - OFFSET),
+                         lambda b: checks.corridor(b)[2]),
+}
+
+
+@pytest.mark.parametrize("claim", sorted(ROUNDING_FAULTS))
+def test_rounding_mark_catches_a_fault_the_old_marks_missed(claim, monkeypatch):
+    # Haar-pure states: every one is entangled, and N = C on each
+    batch = StateSampler("pure", 8).sample(10)
+    name, faulty, failing_state = ROUNDING_FAULTS[claim]
+    assert failing_state(batch) is None
+    monkeypatch.setattr(checks, name, faulty(getattr(checks, name)))
+    assert failing_state(batch) == FAULTY
 
 
 @pytest.mark.parametrize("fn", [negativity, concurrence, witness_report, validate])

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from uwitness import checks
 from uwitness.invariants import apply_local_unitary
 from uwitness.linalg import partial_transpose
 from uwitness.states import (
@@ -16,6 +17,7 @@ from uwitness.states import (
 )
 from uwitness.witness import (
     MomentSet,
+    _concurrence,
     bounds,
     concurrence,
     lower_bound,
@@ -126,12 +128,21 @@ def test_concurrence_known_values():
         assert abs(concurrence(werner(p)) - (3 * p - 1) / 2) < 1e-12
 
 
+def test_concurrence_leaves_the_eigenvalues_it_is_given():
+    # a pure state's eigh leaves three eigenvalues within a few eps of 0,
+    # which _concurrence counts as 0 without writing over the caller's array
+    d, v = np.linalg.eigh(random_pure_state(np.random.default_rng(5)))
+    given = d.copy()
+    _concurrence(d, v)
+    assert np.array_equal(d, given)
+
+
 def test_concurrence_within_2_eps_on_exact_input():
     # werner(k/16) and the Bell states are built with exact entries, so their
     # exact concurrence is max(0, (3p - 1)/2) and 1.  The eigh and the svd each
     # round, and the worst is 1.5 eps (p = 11/16); C sits up to 2.2e-16 below
     # N here (p = 7/16, 11/16, 15/16 and the Bell states), which
-    # checks.BOUND_SLACK absorbs
+    # checks.ROUNDING_MARK absorbs
     eps = np.finfo(float).eps
     cases = [(werner(k / 16), max(Fraction(0), (3 * Fraction(k, 16) - 1) / 2)) for k in range(17)]
     cases += [(singlet(), 1), (phi_plus(), 1)]
@@ -236,7 +247,7 @@ def test_bound_chain_on_random_states():
         n = negativity(rho)
         c = concurrence(rho)
         lo, hi = bounds(w)
-        assert lo - 1e-9 <= n <= c <= hi + 1e-9
+        assert lo - checks.ROUNDING_MARK <= n <= c <= hi + checks.ROUNDING_MARK
 
 
 def test_upper_bound_saturated_by_pure_states():
@@ -244,7 +255,7 @@ def test_upper_bound_saturated_by_pure_states():
     for _ in range(200):
         rho = random_pure_state(rng)
         w = rescaled_witness(witness_value(moments_direct(rho)))
-        assert abs(concurrence(rho) ** 4 - w) <= 1e-9 * w + 1e-14
+        assert abs(concurrence(rho) ** 4 - w) <= checks.ROUNDING_MARK * w + checks.W_SLACK
 
 
 def test_lower_bound_saturated_by_werner_states():
@@ -297,9 +308,9 @@ class TestReport:
         rng = np.random.default_rng(26)
         for _ in range(100):
             rep = witness_report(random_mixed_state(rng))
-            assert rep.lower_bound <= rep.negativity + 1e-9
+            assert rep.lower_bound <= rep.negativity + checks.ROUNDING_MARK
             assert rep.negativity <= rep.concurrence + 1e-12
-            assert rep.concurrence <= rep.upper_bound + 1e-9
+            assert rep.concurrence <= rep.upper_bound + checks.ROUNDING_MARK
 
     def test_as_dict_fields(self):
         d = witness_report(werner(0.5)).as_dict()

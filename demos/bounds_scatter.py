@@ -24,13 +24,13 @@ def main():
     rep = witness_report(batch)
     w, n, c = rep.w, rep.negativity, rep.concurrence
     detected = w > 0
-    slack, upper, outside = checks.corridor(batch)
+    inside, (slack, upper), _ = checks.corridor(rep)
 
     print(f"{SAMPLES} Hilbert-Schmidt states, seed {SEED}")
     print(f"witness fired on {detected.sum()} states ({detected.mean():.1%})")
     print(f"worst corridor slack over the detected states: f(w) - N and N - C {slack:.2e}, "
           f"C^4 - w {upper:.2e}  (negative means strictly inside)")
-    print(f"every state inside the corridor: {outside is None}")
+    print(f"every state inside the corridor: {inside}")
 
     csv_path = HERE / "bounds_scatter.csv"
     with open(csv_path, "w") as fh:

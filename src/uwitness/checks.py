@@ -2,17 +2,19 @@
 
 `uwitness --command verify` and tests/test_acceptance.py both run these; the
 callers choose the states and seeds.  Whether a claim passes is decided here,
-once.  There are two kinds of claim.  A rounding claim (moment_routes,
-invariant_route, local_unitary_drift, witness_det and the edges of
-in_corridor) passes below ROUNDING_MARK, one multiple of eps derived from the
-longest rounding chain among them; an exact claim (projector_composition,
-nondemolition) passes at EXACT, exactly 0; spectra_and_count is compared
-with PAPER_SPECTRA_AND_COUNT.  passes() is the one rule that compares a
-deviation with its mark.  A check on states takes a (..., 4, 4) stack of
-them, plus an rng and a rotation count where the claim needs them, passes the
-whole stack to each layer in one call, and returns its worst deviation over
-the stack with the flat index of the state that reaches it, so that a failure
-names the state that reproduces it.  No check loops over the states.
+once: every claim returns (passed, figures, state), its verdict, the figures
+it read and the flat index of the state that decides it, or None.  A
+rounding claim (moment_routes, invariant_route, local_unitary_drift,
+witness_det and the edges of in_corridor) passes below ROUNDING_MARK, one
+multiple of eps derived from the longest rounding chain among them; an exact
+claim (projector_composition, nondemolition) passes at exactly 0;
+spectra_and_count passes when it finds PAPER_SPECTRA_AND_COUNT, and corridor
+when every state of a witness report is in_corridor.  A check on states
+takes a (..., 4, 4) stack of them, plus an rng and a rotation count where the
+claim needs them, passes the whole stack to each layer in one call, and
+reads its worst deviation over the stack with the state that reaches it
+(_worst), so that a failure names the state that reproduces it.  No check
+loops over the states.
 
 The operator claims (projector composition, the {1, 4} and {0, 2, 4}
 spectra with the seven projections, nondemolition) are about the two swap
@@ -71,14 +73,15 @@ W_SLACK = 45 * _EPS
 
 
 def _worst(per_state) -> tuple:
-    """(largest entry, its flat index) of a per-state deviation array over
-    the leading axes, every entry >= 0 or NaN: the first NaN if any, and
-    (0.0, None) for no state."""
+    """A rounding claim's (passed, largest entry, its flat index) of a
+    per-state deviation array over the leading axes, every entry >= 0 or NaN:
+    the first NaN if any, which fails, and (True, 0.0, None) for no state."""
     per_state = np.asarray(per_state)
     if per_state.size == 0:
-        return 0.0, None
+        return True, 0.0, None
     i = int(np.argmax(per_state))  # the first NaN, if there is one
-    return float(per_state.flat[i]), i
+    dev = float(per_state.flat[i])
+    return dev < ROUNDING_MARK, dev, i
 
 
 def _layers(n: int) -> tuple:
@@ -132,16 +135,8 @@ def _cycle_spectrum(n: int) -> dict:
 
 # ---- the claims -------------------------------------------------------------
 
-# A rounding claim passes below ROUNDING_MARK; an exact claim at exactly 0.
-EXACT = 0.0  # projector_composition and nondemolition, exact by construction
 # spectra_and_count: the spectra {1, 4} and {0, 2, 4}, and seven projections
 PAPER_SPECTRA_AND_COUNT = ((1.0, 4.0), (0.0, 2.0, 4.0), 7)
-
-
-def passes(dev: float, mark: float) -> bool:
-    """Whether a claim's deviation passes its mark: below a rounding mark, or
-    exactly 0 for an EXACT claim.  A NaN passes neither."""
-    return dev == 0.0 if mark == EXACT else dev < mark
 
 
 def route_spread(values) -> np.ndarray:
@@ -154,8 +149,7 @@ def route_spread(values) -> np.ndarray:
 def moment_routes(batch) -> tuple:
     """Largest route_spread of the direct, cycle, sequential-table and
     (n >= 3) observable moments for n = 2, 3, 4, or gap between a table's
-    total probability and 1, with its state (_worst); passes below
-    ROUNDING_MARK."""
+    total probability and 1, with its state (_worst)."""
     devs = []
     for n, direct in zip(COPY_COUNTS, moments_direct(batch).as_tuple()):
         table = outcome_probabilities(batch, n)
@@ -166,35 +160,38 @@ def moment_routes(batch) -> tuple:
     return _worst(np.max(devs, axis=0))
 
 
-def projector_composition() -> float:
+def projector_composition() -> tuple:
     """max |P - (I +/- L)/2| over the parity projectors P of both stages on
     2-4 copies (_composed_projectors), L being the stage's layer.  Exact by
-    construction, every entry a multiple of 1/8: passes at exactly 0 (EXACT).
+    construction, every entry a multiple of 1/8: passes at exactly 0, and
+    np.max keeps a NaN that the builtin max would drop.
     """
     dev = 0.0
     for n in COPY_COUNTS:
         eye = np.eye(4 ** n)
         for stage, layer in enumerate(_layers(n), 1):
             for sign, proj in zip((1, -1), _composed_projectors(n, stage)):
-                dev = max(dev, np.abs(proj - (eye + sign * eye[:, layer]) / 2).max())
-    return dev
+                dev = np.max([dev, np.abs(proj - (eye + sign * eye[:, layer]) / 2).max()])
+    return dev == 0.0, dev, None
 
 
 def spectra_and_count() -> tuple:
-    """(spectrum of (L1 + L2)^2 on 3 copies, the same on 4 copies, number of
-    projections for all three moments: 2 (n=2) plus one per distinct
-    eigenvalue); passes when equal to the paper's PAPER_SPECTRA_AND_COUNT.
-    The spectra are read off the cycles of L1 L2 (_cycle_spectrum)."""
+    """Figures (spectrum of (L1 + L2)^2 on 3 copies, the same on 4 copies,
+    number of projections for all three moments: 2 (n=2) plus one per
+    distinct eigenvalue); passes when equal to the paper's
+    PAPER_SPECTRA_AND_COUNT.  The spectra are read off the cycles of L1 L2
+    (_cycle_spectrum)."""
     s3, s4 = tuple(_cycle_spectrum(3)), tuple(_cycle_spectrum(4))
-    return s3, s4, 2 + len(s3) + len(s4)
+    found = s3, s4, 2 + len(s3) + len(s4)
+    return found == PAPER_SPECTRA_AND_COUNT, found, None
 
 
-def nondemolition() -> float:
+def nondemolition() -> tuple:
     """Stage-1 parity is nondemolition on 2-4 copies, for every state: max
     |L P -/+ P| and |P L -/+ P| over the stage-1 projectors P+ and P- as
     they are measured (_composed_projectors), L being the stage-1 layer.
     Exact by construction, every entry a gather of a multiple of 1/8: passes
-    at exactly 0 (EXACT).
+    at exactly 0.
 
     With L^2 = I (_layers) and L P = P L = +/-P, the symmetrized stack
     sym = (X + L X L)/2 of any X, the copy stack rho^(x)n included, obeys
@@ -207,14 +204,13 @@ def nondemolition() -> float:
     for n in COPY_COUNTS:
         p, _ = _layers(n)
         for sign, proj in zip((1, -1), _composed_projectors(n, 1)):
-            dev = max(dev, np.abs(proj[p] - sign * proj).max(), np.abs(proj[:, p] - sign * proj).max())
-    return dev
+            dev = np.max([dev, np.abs(proj[p] - sign * proj).max(), np.abs(proj[:, p] - sign * proj).max()])
+    return dev == 0.0, dev, None
 
 
 def invariant_route(batch) -> tuple:
     """max |direct - invariant-route moment| over pi2, pi3 and pi4, the
-    route_spread of the two routes, with its state (_worst); passes below
-    ROUNDING_MARK."""
+    route_spread of the two routes, with its state (_worst)."""
     spread = route_spread([moments_direct(batch).as_tuple(), moments_via_invariants(batch).as_tuple()])
     return _worst(np.max(spread, axis=0))
 
@@ -229,7 +225,7 @@ def local_unitary_drift(batch, rng, rotations: int) -> tuple:
     """Largest change of any of the nine Makhlin invariants or the six y
     combinations under `rotations` local unitaries u_a x u_b per state, each
     factor Haar-random from `rng` (drawn state by state, rotation by rotation,
-    u_a before u_b), with its state (_worst); passes below ROUNDING_MARK."""
+    u_a before u_b), with its state (_worst)."""
     batch = _matrix(batch)
     u = haar_unitary(rng, shape=(*batch.shape[:-2], rotations, 2))
     rotated = apply_local_unitary(batch[..., None, :, :], u[..., 0, :, :], u[..., 1, :, :])
@@ -240,7 +236,7 @@ def local_unitary_drift(batch, rng, rotations: int) -> tuple:
 def witness_det(batch) -> tuple:
     """max |witness polynomial - det rho^PT|, the determinant being
     witness_report's, the product of the spectrum of the partial transpose,
-    with its state (_worst); passes below ROUNDING_MARK.  ValueError for a batch that validate would
+    with its state (_worst).  ValueError for a batch that validate would
     reject, from witness_report before any moment is taken."""
     det = witness_report(batch).witness
     return _worst(np.abs(witness_value(moments_direct(batch)) - det))
@@ -260,20 +256,19 @@ def in_corridor(w, lo, n, c):
             & (c ** 4 <= w * (1.0 + ROUNDING_MARK) + W_SLACK))
 
 
-def corridor(batch) -> tuple:
-    """(worst of f(w) - N and N - C, worst C^4 - w, flat index of the first
-    state not in_corridor or None if every state is), w, N, C and f(w) of the
-    whole stack from one witness_report.
+def corridor(rep) -> tuple:
+    """Whether every state of a WitnessReport is in_corridor, figures (worst
+    of f(w) - N and N - C, worst C^4 - w), and the flat index of the first
+    state not in_corridor, or None.
 
     The two worst values are the closest approach to an edge over the
     states the report calls entangled, -inf if there are none: a separable
     state (w = N = C = 0) sits exactly on every edge and would always read 0.
     """
-    rep = witness_report(batch)
     w, lo, n, c = (np.asarray(x) for x in (rep.w, rep.lower_bound, rep.negativity, rep.concurrence))
     entangled = np.asarray(rep.entangled)
     slack = np.max(np.maximum(lo - n, n - c)[entangled], initial=-np.inf)
     upper = np.max((c ** 4 - w)[entangled], initial=-np.inf)
     inside = np.ravel(in_corridor(w, lo, n, c))
     outside = None if inside.all() else int(np.argmin(inside))
-    return float(slack), float(upper), outside
+    return outside is None, (float(slack), float(upper)), outside

@@ -8,18 +8,18 @@ Four commands, selected with --command:
   simulate  finite-shot estimation with a bootstrap interval (JSON)
 
 verify runs the uwitness.checks functions that tests/test_acceptance.py
-runs too, and takes each claim's pass mark and pass rule from there, so
-this module writes no threshold.  A FAIL line of a check on states ends with
-'at sample i of --seed s --ensemble k', the state that reproduces it;
-report's max_moment_deviation is
-checks.route_spread, the rule the route checks apply.  Suite -> acceptance
-criterion: moment routes -> 3, projector composition -> none (verify only),
-spectra and projection count -> 4, stage-1 nondemolition -> 6, invariant
-route and local-unitary drift -> 5, witness = det -> 2, bound corridor -> 1
-(through checks.in_corridor, which scatter applies to every row).  verify's
-operator suites work on the basis permutations of the swap layers (see
-uwitness.checks); report, scatter and simulate run on the permutation
-traces alone.
+runs too.  Each returns its own (passed, figures, state), so this module
+writes no threshold and judges no figure: verify prints the verdict, and a
+FAIL line of a check on states ends with 'at sample i of --seed s --ensemble
+k', the state that reproduces it; scatter judges each block with
+checks.corridor and names its first state outside; report's
+max_moment_deviation is checks.route_spread, the rule the route checks
+apply.  Suite -> acceptance criterion: moment routes -> 3, projector
+composition -> none (verify only), spectra and projection count -> 4,
+stage-1 nondemolition -> 6, invariant route and local-unitary drift -> 5,
+witness = det -> 2, bound corridor -> 1.  verify's operator suites work on
+the basis permutations of the swap layers (see uwitness.checks); report,
+scatter and simulate run on the permutation traces alone.
 
 --state is a name, a state by construction, or a JSON file that must pass
 states.validate (exit 1 otherwise).  simulate samples any such state: a third
@@ -140,9 +140,8 @@ def cmd_scatter(args):
     for start in range(0, args.samples, SCATTER_BLOCK):
         rep = witness_report(sampler.sample(min(SCATTER_BLOCK, args.samples - start)))
         w, lo, n, c = rep.w, rep.lower_bound, rep.negativity, rep.concurrence
-        inside = np.broadcast_to(checks.in_corridor(w, lo, n, c), w.shape)
-        if not inside.all():
-            i = int(np.argmin(inside))
+        inside, _, i = checks.corridor(rep)
+        if not inside:
             raise CheckFailure(
                 f"bound violation at sample {start + i} of --seed {seed}: "
                 f"f(w)={lo[i].item()!r} N={n[i].item()!r} C={c[i].item()!r} "
@@ -183,48 +182,33 @@ def cmd_simulate(args) -> tuple:
 
 
 def _verify_suites(kind: str, samples: int, seed: int):
-    """Yield (name, detail, passed) rows, one uwitness.checks claim each, every
-    check taking its states as one stack.  A failed state check's detail names
-    the sample that reproduces it."""
+    """Yield (name, describe, verdict) per uwitness.checks claim: the claim's
+    own (passed, figures, state) and how verify prints its figures.  Every
+    check on states takes them as one stack."""
     batch = states.StateSampler(kind, seed).sample(samples)
     lu_rng = np.random.default_rng(_derived_seeds(seed, 1)[0])
-
-    def where(ok, index):
-        return "" if ok else f" at sample {index} of --seed {seed} --ensemble {kind}"
-
-    def max_dev(name, dev, mark):
-        return name, f"max dev {dev:.2e}", checks.passes(dev, mark)
-
-    def rounding(name, worst):
-        dev, index = worst
-        ok = checks.passes(dev, checks.ROUNDING_MARK)
-        return name, f"max dev {dev:.2e}{where(ok, index)}", ok
-
-    yield rounding("moment routes agree (direct/cycle/observable/sequential)", checks.moment_routes(batch))
-    yield max_dev("pairwise-composed projectors equal (I +/- layer)/2",
-                  checks.projector_composition(), checks.EXACT)
-    found = s3, s4, count = checks.spectra_and_count()
-    yield ("observable spectra and projection count", f"n=3 {list(s3)}, n=4 {list(s4)}, count {count}",
-           found == checks.PAPER_SPECTRA_AND_COUNT)
-    yield max_dev("stage-1 parity is nondemolition on the symmetrized stack",
-                  checks.nondemolition(), checks.EXACT)
-    yield rounding("invariant combinations reproduce the moments", checks.invariant_route(batch))
-    yield rounding("invariants unchanged under local unitaries",
-                   checks.local_unitary_drift(batch[: max(1, samples // 20)], lu_rng, 10))
-    yield rounding("witness polynomial equals det of the partial transpose", checks.witness_det(batch))
-    slack, upper, outside = checks.corridor(batch)
-    inside = outside is None
-    yield ("bound corridor f(w) <= N <= C <= w^(1/4)",
-           f"worst slack {slack:.2e}, worst C^4 - w {upper:.2e}{where(inside, outside)}", inside)
+    max_dev = "max dev {:.2e}".format
+    yield "moment routes agree (direct/cycle/observable/sequential)", max_dev, checks.moment_routes(batch)
+    yield "pairwise-composed projectors equal (I +/- layer)/2", max_dev, checks.projector_composition()
+    yield ("observable spectra and projection count",
+           lambda found: f"n=3 {list(found[0])}, n=4 {list(found[1])}, count {found[2]}", checks.spectra_and_count())
+    yield "stage-1 parity is nondemolition on the symmetrized stack", max_dev, checks.nondemolition()
+    yield "invariant combinations reproduce the moments", max_dev, checks.invariant_route(batch)
+    yield ("invariants unchanged under local unitaries", max_dev,
+           checks.local_unitary_drift(batch[: max(1, samples // 20)], lu_rng, 10))
+    yield "witness polynomial equals det of the partial transpose", max_dev, checks.witness_det(batch)
+    yield ("bound corridor f(w) <= N <= C <= w^(1/4)", "worst slack {0[0]:.2e}, worst C^4 - w {0[1]:.2e}".format,
+           checks.corridor(witness_report(batch)))
 
 
 def cmd_verify(args):
     seed = args.seed if args.seed is not None else 0
     lines = []
     all_ok = True
-    for name, detail, ok in _verify_suites(args.ensemble, args.samples, seed):
+    for name, describe, (ok, figures, state) in _verify_suites(args.ensemble, args.samples, seed):
         all_ok = all_ok and ok
-        lines.append(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+        where = "" if ok or state is None else f" at sample {state} of --seed {seed} --ensemble {args.ensemble}"
+        lines.append(f"{'PASS' if ok else 'FAIL'}  {name}: {describe(figures)}{where}")
     lines.append(f"overall: {'PASS' if all_ok else 'FAIL'}")
     return "\n".join(lines) + "\n", 0 if all_ok else 1
 

@@ -9,6 +9,7 @@ is built by one rule, _gram: g g^dag / tr(g g^dag) of a complex (..., 4, r) g.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -230,7 +231,9 @@ def state_to_dict(rho) -> dict:
 
 
 def state_from_dict(d: dict) -> np.ndarray:
-    """Inverse of state_to_dict.  ValueError unless dim is 4 and re, im are lists of 16 numbers."""
+    """Inverse of state_to_dict.  ValueError unless dim is 4 and re, im are
+    lists of 16 finite numbers: json reads NaN, Infinity and 1e999 as
+    non-finite floats, which save_state never writes."""
     try:
         dim = d["dim"]
         re = d["re"]
@@ -241,8 +244,10 @@ def state_from_dict(d: dict) -> np.ndarray:
         raise ValueError(f"only dim = 4 states are supported, got {dim}")
     for name, part in (("re", re), ("im", im)):
         if not (isinstance(part, list) and len(part) == 16
-                and all(isinstance(x, float) or type(x) is int and abs(x) <= 1e308 for x in part)):
-            raise ValueError(f"{name} must be a list of 16 entries, each a float or an int of at most 1e308, got {part!r}")
+                and all(isinstance(x, float) and math.isfinite(x) or type(x) is int and abs(x) <= 1e308
+                        for x in part)):
+            raise ValueError(f"{name} must be a list of 16 entries, each a float or an int of at most 1e308, "
+                             f"all finite, got {part!r}")
     return (np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)).reshape(4, 4)
 
 

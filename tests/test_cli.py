@@ -78,6 +78,17 @@ class TestReport:
         assert code == 2
         assert "could not read state file" in err and "re must be a list of 16 entries" in err
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "1e999"])
+    def test_non_finite_state_file_is_a_usage_error(self, capsys, tmp_path, token):
+        # json reads each token as a non-finite float; save_state never
+        # writes one, so the file breaks the format rather than the state rule
+        path = tmp_path / "nonfinite.json"
+        zeros = ", 0" * 15
+        path.write_text(f'{{"dim": 4, "re": [{token}{zeros}], "im": [0{zeros}]}}')
+        code, _, err = run(capsys, "--command", "report", "--state", str(path))
+        assert code == 2
+        assert "could not read state file" in err and "all finite" in err
+
     def test_unknown_name_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "--command", "report", "--state", "bogus")
         assert code == 2
@@ -145,6 +156,17 @@ class TestScatter:
         code, _, err = run(capsys, "--command", "scatter", "--samples", "3", "--seed", "5")
         assert code == 1
         assert "bound violation at sample 0 of --seed 5" in err
+
+    def test_violation_names_the_state_verify_names(self, capsys, monkeypatch):
+        # one judge, checks.corridor: under the raised f(w) of
+        # TestVerify.test_corridor_violation_fails, both commands name sample 1
+        both = witness._bounds
+        monkeypatch.setattr(witness, "_bounds", lambda w: (both(w)[0] + 1e-6, both(w)[1]))
+        code, out, _ = run(capsys, "--command", "verify", "--samples", "10", "--seed", "4")
+        assert code == 1 and " at sample 1 of --seed 4 --ensemble hs\n" in out
+        code, _, err = run(capsys, "--command", "scatter", "--samples", "10", "--seed", "4")
+        assert code == 1
+        assert "bound violation at sample 1 of --seed 4:" in err
 
     def test_rows_satisfy_bound_chain(self, capsys):
         code, out, _ = run(

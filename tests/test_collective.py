@@ -163,7 +163,7 @@ class TestParityProjectors:
     def test_composition_equals_eigenspace_projector(self):
         # the pairwise-composed projectors must equal (I + sign*layer)/2; the
         # algebra is exact, so no tolerance is needed
-        assert checks_module.projector_composition() == 0.0
+        assert checks_module.projector_composition() == (True, 0.0, None)
         for n in COPY_COUNTS:
             for stage in (1, 2):
                 layer = swap_layer(n, stage)
@@ -184,8 +184,8 @@ class TestParityProjectors:
         pairs = dict(checks_module._LAYER_PAIRS)
         pairs[(3, 1)] = pairs[(3, 1)][:1]
         monkeypatch.setattr(checks_module, "_LAYER_PAIRS", pairs)
-        assert checks_module.nondemolition() == 1.0
-        assert checks_module.projector_composition() == 0.5
+        assert checks_module.nondemolition() == (False, 1.0, None)
+        assert checks_module.projector_composition() == (False, 0.5, None)
         assert len(uwitness.collective._LAYER_PAIRS[(3, 1)]) == 2  # the layer is untouched
 
     def test_projector_algebra(self):
@@ -258,16 +258,17 @@ class TestMomentRoutes:
 
 class TestObservable:
     def test_spectra(self):
-        s3, s4, _ = checks_module.spectra_and_count()
+        _, (s3, s4, _), _ = checks_module.spectra_and_count()
         assert s3 == (1.0, 4.0)
         assert s4 == (0.0, 2.0, 4.0)
 
     def test_projection_count_totals_seven(self):
-        assert checks_module.spectra_and_count()[2] == 7
+        passed, (_, _, count), state = checks_module.spectra_and_count()
+        assert count == 7 and passed and state is None
 
     def test_spectra_and_multiplicities_match_dense_eigensolve(self):
         # the cycle spectrum against the eigenvalues of the dense (L1 + L2)^2
-        spectra = checks_module.spectra_and_count()
+        _, spectra, _ = checks_module.spectra_and_count()
         for n, distinct in zip((3, 4), spectra):
             eigs = np.linalg.eigvalsh(moment_observable(n))
             dense = Counter(v + 0.0 for v in np.round(eigs, 8).tolist())

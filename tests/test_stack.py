@@ -7,6 +7,7 @@ and name the state of their worst deviation."""
 import dataclasses
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -212,13 +213,14 @@ def test_empty_stack_gives_empty_results():
 
 
 def test_state_checks_take_an_empty_stack():
-    # every deviation is >= 0, so no state reads 0, as every route's empty results allow
+    # every deviation is >= 0, so no state reads 0 and passes, as every
+    # route's empty results allow
     empty = StateSampler("hs", 4).sample(0)
-    assert checks.moment_routes(empty) == (0.0, None)
-    assert checks.invariant_route(empty) == (0.0, None)
-    assert checks.witness_det(empty) == (0.0, None)
-    assert checks.local_unitary_drift(empty, np.random.default_rng(0), 3) == (0.0, None)
-    assert checks.corridor(empty) == (-np.inf, -np.inf, None)
+    assert checks.moment_routes(empty) == (True, 0.0, None)
+    assert checks.invariant_route(empty) == (True, 0.0, None)
+    assert checks.witness_det(empty) == (True, 0.0, None)
+    assert checks.local_unitary_drift(empty, np.random.default_rng(0), 3) == (True, 0.0, None)
+    assert checks.corridor(witness_report(empty)) == (True, (-np.inf, -np.inf), None)
 
 
 def test_route_checks_pass_a_nan_on():
@@ -228,17 +230,28 @@ def test_route_checks_pass_a_nan_on():
     stack = StateSampler("hs", 4).sample(3)
     stack[1, 3, 3] = np.nan
     for check in (checks.moment_routes, checks.invariant_route):
-        dev, index = check(stack)
-        assert np.isnan(dev) and index == 1
-    for mark in (checks.ROUNDING_MARK, checks.EXACT):
-        assert not checks.passes(np.nan, mark)
+        passed, dev, index = check(stack)
+        assert not passed and np.isnan(dev) and index == 1
 
 
-def test_exact_claims_pass_at_zero_only():
-    assert checks.passes(0.0, checks.EXACT)
-    assert not checks.passes(5e-324, checks.EXACT)
-    assert checks.passes(5e-324, checks.ROUNDING_MARK)
-    assert not checks.passes(checks.ROUNDING_MARK, checks.ROUNDING_MARK)
+def test_exact_claims_pass_at_zero_only(monkeypatch):
+    # each claim's verdict on a residual of exactly r: witness_det's
+    # polynomial r away from a determinant of 0 (a rounding claim), and every
+    # composed projector off by r (the two exact claims)
+    batch = StateSampler("hs", 4).sample(3)
+    composed = checks._composed_projectors
+
+    def verdicts(r):
+        monkeypatch.setattr(checks, "witness_report", lambda b: SimpleNamespace(witness=np.zeros(len(b))))
+        monkeypatch.setattr(checks, "witness_value", lambda m: np.full(np.shape(m.pi2), r))
+        monkeypatch.setattr(checks, "_composed_projectors",
+                            lambda n, stage: tuple(p + r for p in composed(n, stage)))
+        return checks.witness_det(batch)[0], checks.projector_composition()[0], checks.nondemolition()[0]
+
+    assert verdicts(0.0) == (True, True, True)
+    assert verdicts(5e-324) == (True, False, False)
+    assert verdicts(checks.ROUNDING_MARK) == (False, False, False)
+    assert verdicts(np.nan) == (False, False, False)
 
 
 # A fault of 16 x ROUNDING_MARK (1.5e-11): at least 10 times the mark, and
@@ -262,9 +275,9 @@ def _with_negativity(rep, edge):
     return dataclasses.replace(rep, negativity=n)
 
 
-def _failing_state(worst):
-    dev, index = worst
-    return None if checks.passes(dev, checks.ROUNDING_MARK) else index
+def _failing_state(verdict):
+    passed, _, state = verdict
+    return None if passed else state
 
 
 # claim -> (the name in checks that the fault replaces, the faulty version of
@@ -283,10 +296,10 @@ ROUNDING_FAULTS = {
                     lambda b: _failing_state(checks.witness_det(b))),
     "corridor_N_le_C": ("witness_report",
                         lambda f: lambda b: _with_negativity(f(b), lambda r: r.concurrence + OFFSET),
-                        lambda b: checks.corridor(b)[2]),
+                        lambda b: _failing_state(checks.corridor(checks.witness_report(b)))),
     "corridor_fw_le_N": ("witness_report",
                          lambda f: lambda b: _with_negativity(f(b), lambda r: r.lower_bound - OFFSET),
-                         lambda b: checks.corridor(b)[2]),
+                         lambda b: _failing_state(checks.corridor(checks.witness_report(b)))),
 }
 
 

@@ -234,8 +234,9 @@ class TestFileFormat:
         ("re", 5), ("im", 5.0), ("re", None), ("im", "0" * 16), ("re", {"0": 1.0}),
         ("re", [0.0] * 15 + [None]), ("im", [0.0] * 15 + [True]), ("re", [0.0] * 15 + ["0.25"]),
         ("im", [0.0] * 15 + [[0.0]]), ("re", tuple([0.25] * 16)), ("re", [0.0] * 15 + [10**400]),
+        ("re", [0.0] * 15 + [float("nan")]), ("im", [0.0] * 15 + [float("-inf")]),
     ], ids=["int", "float", "null", "string", "object", "null-entry", "bool-entry", "string-entry",
-            "list-entry", "tuple", "int-past-float-range"])
+            "list-entry", "tuple", "int-past-float-range", "nan-entry", "inf-entry"])
     def test_entries_must_be_lists_of_16_numbers(self, field, value):
         d = {"dim": 4, "re": [0.25] * 16, "im": [0] * 16}
         d[field] = value

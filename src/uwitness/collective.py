@@ -38,15 +38,16 @@ the operator claims of uwitness.checks both read it.  Since
 tr[pi R] = sum_src R[src, pi(src)] and R = rho^(x)n factorizes over the
 copies, t(pi) is a sum over the 4^n basis states of a product of n entries
 of rho, one per copy.  Which entry copy k contributes to basis state src
-depends on pi alone.  Copies are taken in pairs: a call builds the pair
-table rho_i rho_j (256 products, one multiply), and the layer products
-(words) a route needs are compiled once per (n, words) into a cached table
-of indices into it (_trace_indices); the last copy at odd n reads rho
-itself.  A call gathers the factors of all its words at once, multiplies
-them once per further factor (none at n = 2, one at n = 3 and 4) and sums
-over the basis states: no einsum, and no call per trace.  A stack is traced
-in blocks of _TRACE_BLOCK states, so the gathered factors stay small
-whatever the size of the stack.  No 4^n-dimensional operator is built here.
+depends on pi alone.  The layer products (words) a route needs are compiled
+once per (n, words) into a cached table of gather indices, one row per
+factor (_trace_indices).  At n = 2 and 3 each copy is a factor, an entry of
+rho itself.  At n = 4 copies are taken in pairs: a call builds the pair
+table rho_i rho_j (256 products, one multiply) and each of the two factors
+is an entry of it, which halves the gathers.  A call gathers the factors of
+all its words at once, multiplies them left to right and sums over the
+basis states: no einsum, and no call per trace.  A stack is traced in
+blocks of _TRACE_BLOCK states, so the gathered factors stay small whatever
+the size of the stack.  No 4^n-dimensional operator is built here.
 Every route takes rho of shape (..., 4, 4) and broadcasts over the leading
 axes; one state gives Python floats.
 
@@ -63,7 +64,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import _matrix, _result
+from .linalg import _matrix, _real, _result
 from .witness import MomentSet
 
 COPY_COUNTS = (2, 3, 4)
@@ -121,9 +122,9 @@ def layer_permutation(n: int, stage: int) -> np.ndarray:
     return _swap_permutation(n, _LAYER_PAIRS[(n, stage)])
 
 
-# states of a stack traced at once: the two gathered pair factors hold
-# 2 x 16 x words x 4^n complex entries (about 0.8 MB for the six table words
-# at n = 4) whatever the size of the stack
+# states of a stack traced at once: the product and the factor gathered into
+# it hold 2 x 16 x words x 4^n complex entries (about 0.8 MB for the six
+# table words at n = 4) whatever the size of the stack
 _TRACE_BLOCK = 16
 
 # the six layer products of the outcome table, in the order p(x, y) reads them
@@ -141,14 +142,13 @@ def _trace_indices(n: int, words: tuple) -> np.ndarray:
     with R = rho^(x)n, a product over the copies of rho[d_k(src), d_k(p[src])],
     d_k being the base-4 digit of copy k (the bits of its qubits a_k, b_k).
     Let e_k = 4 d_k(src) + d_k(p[src]) be the index of that entry in
-    rho.reshape(16).  Copies 2f and 2f + 1 share one factor, the entry
-    idx[f, w, src] = 16 e_2f + e_2f+1 of the pair table rho_i rho_j (flat,
-    256 entries); for odd n the last row is e_n-1 itself, an entry of rho.
-    So a trace is 4^n products of n // 2 + n % 2 gathered factors: a sum of
-    pair entries at n = 2, a pair entry times an entry of rho at n = 3 and
-    the product of two pair entries at n = 4.  A trace is at most 256 terms,
-    so a route gathers the factors of all its words at once rather than
-    paying a call per trace.
+    rho.reshape(16).  At n = 2 and 3 row k is e_k, so a trace is 4^n
+    products of n entries of rho.  At n = 4 copies 2f and 2f + 1 share one
+    factor, the entry idx[f, w, src] = 16 e_2f + e_2f+1 of the pair table
+    rho_i rho_j (flat, 256 entries), so a trace is 256 products of two pair
+    entries: four gathers of rho entries would cost twice as much there.  A
+    trace is at most 256 terms, so a route gathers the factors of all its
+    words at once rather than paying a call per trace.
     """
     digits = (np.arange(4**n) >> 2 * np.arange(n - 1, -1, -1)[:, None]) & 3  # digits[k, src]
     entries = np.empty((n, len(words), 4**n), dtype=np.intp)
@@ -157,10 +157,10 @@ def _trace_indices(n: int, words: tuple) -> np.ndarray:
         for stage in stages:
             p = p[layer_permutation(n, stage)]
         entries[:, w] = 4 * digits + digits[:, p]
-    # copies (1, 2) and (3, 4) into the pair table, then an odd last copy as is
-    idx = np.concatenate([16 * entries[0:n - 1:2] + entries[1::2], entries[n - n % 2:]])
-    idx.setflags(write=False)
-    return idx
+    if n == 4:  # copies (1, 2) and (3, 4) into the pair table
+        entries = 16 * entries[0::2] + entries[1::2]
+    entries.setflags(write=False)
+    return entries
 
 
 def _permutation_traces(rho, n: int, words: tuple) -> tuple:
@@ -170,11 +170,13 @@ def _permutation_traces(rho, n: int, words: tuple) -> tuple:
 
     A stack is traced in blocks of _TRACE_BLOCK states and a single state as
     a block of one, through the same products, so a state's traces do not
-    depend on the stack it sits in.  Each block builds its pair table with
-    one multiply, gathers the factors of every word from it and multiplies
-    them once per further factor.  A NaN entry passes through to NaN traces
-    without a warning; an inf entry or an overflowing product gives numpy's
-    RuntimeWarning, as the matmul of moments_direct does.
+    depend on the stack it sits in.  Each block gathers the factors of every
+    word from its entries of rho, or at n = 4 from its pair table, built with
+    one multiply, and multiplies them left to right: (rho_i rho_j) rho_k at
+    n = 3, the product a pair entry times rho_k would give.  A NaN entry
+    passes through to NaN traces without a warning; an inf entry or an
+    overflowing product gives numpy's RuntimeWarning, as the matmul of
+    moments_direct does.
     """
     r = _matrix(rho)
     lead = r.shape[:-2]
@@ -183,10 +185,11 @@ def _permutation_traces(rho, n: int, words: tuple) -> tuple:
     traces = np.empty((len(r), len(words)), dtype=complex)
     for start in range(0, len(r), _TRACE_BLOCK):
         block = r[start:start + _TRACE_BLOCK]
-        pairs = (block[:, :, None] * block[:, None, :]).reshape(-1, 256)
-        terms = pairs.take(idx[0], axis=1)  # (block, words, 4^n)
+        if n == 4:  # the rows index the pair table
+            block = (block[:, :, None] * block[:, None, :]).reshape(-1, 256)
+        terms = block.take(idx[0], axis=1)  # (block, words, 4^n)
         for f in range(1, len(idx)):
-            terms *= (pairs if f < n // 2 else block).take(idx[f], axis=1)
+            terms *= block.take(idx[f], axis=1)
         np.add.reduce(terms, -1, out=traces[start:start + _TRACE_BLOCK])
     traces = traces.real.T.reshape((len(words),) + lead)
     return tuple(traces if lead else traces.tolist())
@@ -214,7 +217,8 @@ class OutcomeTable:
     probabilities[..., x, y] is the chance of stage-2 outcome x after
     stage-1 outcome y, indexed 0 <-> +1 and 1 <-> -1, with the leading axes
     of the states.  The signed sum p(+,+) - p(+,-) - p(-,+) + p(-,-)
-    recovers the moment.
+    recovers the moment.  ValueError unless the table is real (a complex
+    dtype is refused) of shape (..., 2, 2).
     """
 
     n_copies: int
@@ -222,7 +226,7 @@ class OutcomeTable:
 
     def __post_init__(self):
         _check_n(self.n_copies)
-        p = np.array(self.probabilities, dtype=float)
+        p = _real(self.probabilities, "probabilities")
         if p.shape[-2:] != (2, 2):
             raise ValueError(f"probabilities must be (..., 2, 2) tables, got shape {p.shape}")
         p.setflags(write=False)
@@ -239,6 +243,22 @@ class OutcomeTable:
         return p.reshape(*p.shape[:-2], 4)
 
 
+def _probabilities(rho, n: int) -> tuple:
+    """p(+,+), p(+,-), p(-,+), p(-,-) of n copies, p(x, y) the chance of
+    stage-2 outcome x after stage-1 outcome y: Python floats for one state,
+    arrays over the leading axes for a stack.  From the six table traces (see
+    the module docstring), grouped so that outcomes the state forbids (e.g.
+    the singlet's) come out exactly 0: stage1 = t(I) + y t(L1),
+    stage2 = (t(L2) + t(L1 L2 L1)) + y (t(L1 L2) + t(L2 L1)) and
+    p(x, y) = (2 stage1 + x stage2) / 8.
+    """
+    t_id, t1, t2, t12, t21, t121 = _permutation_traces(rho, n, _TABLE_WORDS)
+    stage1_plus, stage1_minus = t_id + t1, t_id - t1
+    stage2_plus, stage2_minus = (t2 + t121) + (t12 + t21), (t2 + t121) - (t12 + t21)
+    return ((2.0 * stage1_plus + stage2_plus) / 8.0, (2.0 * stage1_minus + stage2_minus) / 8.0,
+            (2.0 * stage1_plus - stage2_plus) / 8.0, (2.0 * stage1_minus - stage2_minus) / 8.0)
+
+
 def outcome_probabilities(rho: np.ndarray, n: int) -> OutcomeTable:
     """Sequential probabilities tr[Q_x P_y rho^(x)n P_y Q_x].
 
@@ -248,25 +268,18 @@ def outcome_probabilities(rho: np.ndarray, n: int) -> OutcomeTable:
     permutation traces (see the module docstring).
     """
     _check_n(n)
-    t_id, t1, t2, t12, t21, t121 = _permutation_traces(rho, n, _TABLE_WORDS)
-    # grouped so that outcomes the state forbids (e.g. the singlet's) come out
-    # exactly 0: stage1 = t(I) + y t(L1), stage2 = (t(L2) + t(L1 L2 L1)) +
-    # y (t(L1 L2) + t(L2 L1)) and p(x, y) = (2 stage1 + x stage2) / 8, with
+    pp, pm, mp, mm = _probabilities(rho, n)
     # rows x and columns y (index 0 <-> +1); a stack's axes go in front
-    stage1_plus, stage1_minus = t_id + t1, t_id - t1
-    stage2_plus, stage2_minus = (t2 + t121) + (t12 + t21), (t2 + t121) - (t12 + t21)
-    probs = np.array([
-        [(2.0 * stage1_plus + stage2_plus) / 8.0, (2.0 * stage1_minus + stage2_minus) / 8.0],
-        [(2.0 * stage1_plus - stage2_plus) / 8.0, (2.0 * stage1_minus - stage2_minus) / 8.0],
-    ])
+    probs = np.array([[pp, pm], [mp, mm]])
     return OutcomeTable(n_copies=n, probabilities=probs.transpose(*range(2, probs.ndim), 0, 1))
 
 
 def moments_collective(rho: np.ndarray) -> MomentSet:
-    """All three moments from the sequential measurement probabilities."""
-    return MomentSet(
-        pi2=outcome_probabilities(rho, 2).moment,
-        pi3=outcome_probabilities(rho, 3).moment,
-        pi4=outcome_probabilities(rho, 4).moment,
-        source="collective",
-    )
+    """All three moments from the sequential measurement probabilities: each
+    is the signed sum OutcomeTable.moment takes, in its order, read off the
+    probabilities with no table built."""
+    moments = []
+    for n in COPY_COUNTS:
+        pp, pm, mp, mm = _probabilities(rho, n)
+        moments.append(pp - pm - mp + mm)
+    return MomentSet(*moments, source="collective")

@@ -41,6 +41,15 @@ def _matrix(rho) -> np.ndarray:
     return rho
 
 
+def _real(x, name: str) -> np.ndarray:
+    """x as a new float array; ValueError naming the dtype if it is complex,
+    whose imaginary part a cast to float would silently drop."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got dtype {x.dtype}")
+    return np.array(x, dtype=float)
+
+
 def _position(bad) -> str:
     """'state i of the stack' (i, j, ... over several leading axes) for the first
     True of the per-matrix flags `bad`; '' for a single matrix."""

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .collective import COPY_COUNTS, _check_n, outcome_probabilities
-from .linalg import _matrix
+from .linalg import _matrix, _real
 from .states import validate
 from .witness import witness_polynomial
 
@@ -42,7 +42,7 @@ class ShotRecord:
     A hand-built record is checked like a drawn one: ValueError unless
     n_copies is one of 2, 3, 4 (no float), shots is an integer in
     [1, 2**53] (no bool, no float) and the counts are four nonnegative
-    integers (no bool) summing to shots.
+    integers (no bool, no complex dtype) summing to shots.
     """
 
     n_copies: int
@@ -52,7 +52,7 @@ class ShotRecord:
 
     def __post_init__(self):
         _check_n(self.n_copies)
-        c = np.array(self.counts, dtype=float)
+        c = _real(self.counts, "counts")
         if c.shape != (4,):
             raise ValueError(f"counts must have 4 entries, got shape {c.shape}")
         if any(isinstance(x, (bool, np.bool_)) for x in self.counts):

@@ -42,6 +42,22 @@ class TestReport:
             assert (m["pi2"], m["pi3"], m["pi4"]) == (1.0, 0.25, 0.25), route
         assert doc["max_moment_deviation"] == 0.0
 
+    @pytest.mark.parametrize("state, digest", [
+        ("singlet", "617c702d846857fd5e89e915ac78a491539eae6ab264fcab9523b4123c878617"),
+        ("phi_plus", "f9c01b74aac9c6b5af6d0d0140ba434116532bac2d82a3d26111e0f55e5312bf"),
+        ("werner:0.5", "8d0367e00c318151e962b607b184b8b4dc73bc36fcba68eb6cfa3311ea738e74"),
+        ("werner:0.3", "4ba873c84bbfc026a307d092eafd68bb6fb5c991a2a19d8c810a0aa9696a7a26"),
+        ("werner:0.3333333333", "c5b28ccd98381f99e3c602a197eed923944a7ed08848f17b6796ba0aefe02341"),
+        ("product:0.7", "fb14a4a07e2d094fc409fa716c2438826373726a26513db434ee0f9681e6296d"),
+        ("pure_schmidt:0.8", "12a0e43153ef87c3911b068ce268effcb683e51f311789818397eff532cbb539"),
+    ])
+    def test_frozen_output(self, capsys, state, digest):
+        # the whole JSON, byte for byte: every field of the report and the
+        # three moment routes to the last bit
+        code, out, _ = run(capsys, "--command", "report", "--state", state)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
     def test_separable_werner_not_entangled(self, capsys):
         code, out, _ = run(capsys, "--command", "report", "--state", "werner:0.3")
         assert code == 0

@@ -13,6 +13,7 @@ import uwitness.simulate
 import uwitness.witness
 from uwitness.collective import (
     _TABLE_WORDS,
+    _TRACE_BLOCK,
     COPY_COUNTS,
     OutcomeTable,
     _permutation_traces,
@@ -337,12 +338,46 @@ class TestSequentialProbabilities:
         assert mc.source == "collective"
         assert max(abs(a - b) for a, b in zip(mc.as_tuple(), md.as_tuple())) < 1e-12
 
+    @pytest.mark.parametrize("rho", [
+        random_mixed_state(np.random.default_rng(38)),
+        random_pure_state(np.random.default_rng(39)),
+        singlet(),
+        random_mixed_state(np.random.default_rng(40), 3 * _TRACE_BLOCK + 1),
+        np.diag([np.nan, 1.0, 0.0, 0.0]),
+    ], ids=["hs", "pure", "singlet", "stack", "nan"])
+    def test_moments_collective_reads_the_table_moments(self, rho):
+        # the signed sums of the three outcome tables, equal with == (NaN as NaN)
+        for n, moment in zip(COPY_COUNTS, moments_collective(rho).as_tuple()):
+            table_moment = outcome_probabilities(rho, n).moment
+            assert type(moment) is type(table_moment), n
+            assert np.array_equal(moment, table_moment, equal_nan=True), n
+
+    def test_moments_collective_builds_no_table(self, monkeypatch):
+        engine, post_init = uwitness.collective._permutation_traces, OutcomeTable.__post_init__
+        calls, tables = [], []
+        monkeypatch.setattr(uwitness.collective, "_permutation_traces",
+                            lambda rho, n, words: calls.append(n) or engine(rho, n, words))
+        monkeypatch.setattr(OutcomeTable, "__post_init__", lambda self: tables.append(self) or post_init(self))
+        moments_collective(werner(0.6))
+        assert calls == [2, 3, 4] and tables == []
+        outcome_probabilities(werner(0.6), 2)  # the counters do see a table
+        assert calls == [2, 3, 4, 2] and len(tables) == 1
+
     def test_outcome_table_validation(self):
         with pytest.raises(ValueError):
             OutcomeTable(n_copies=2, probabilities=np.zeros(3))
         table = OutcomeTable(n_copies=2, probabilities=np.full((2, 2), 0.25))
         with pytest.raises(ValueError):
             table.probabilities[0, 0] = 1.0  # frozen storage
+
+    @pytest.mark.parametrize("probabilities", [
+        [[0.5 + 1j, 0.5], [0.0, 0.0]],
+        np.full((2, 2), 0.25, dtype=complex),
+    ], ids=["complex-list", "complex-zero-imaginary"])
+    def test_complex_outcome_table_rejected(self, probabilities):
+        # a cast to float would drop the imaginary part; the moment read 0.0
+        with pytest.raises(ValueError, match="probabilities must be real, got dtype complex128"):
+            OutcomeTable(n_copies=2, probabilities=probabilities)
 
     @pytest.mark.parametrize("n", [7, 1, 2.0, True])
     def test_outcome_table_copy_count_rejected(self, n):
@@ -404,6 +439,15 @@ def oracle_states():
         yield f"pure {k}", random_pure_state(rng)
 
 
+def dense_entries(n, word):
+    """entry[k, j]: the index in rho.reshape(16) of the entry copy k contributes
+    to basis state j of tr[W rho^(x)n], W the dense product of the word's
+    layers.  tr[W R] = sum_j R[j, q(j)], q(j) the row of the 1 in column j of W."""
+    digits = (np.arange(4**n) >> 2 * np.arange(n - 1, -1, -1)[:, None]) & 3  # base-4 digit of copy k
+    dense = reduce(np.matmul, [swap_layer(n, stage) for stage in word], np.eye(4**n))
+    return 4 * digits + digits[:, dense.argmax(axis=0)]
+
+
 class TestEngineAgainstDenseOracle:
     """The permutation-trace engine against the dense 4^n-dimensional operators
     of permutation_matrix."""
@@ -444,21 +488,31 @@ class TestEngineAgainstDenseOracle:
                     assert abs(trace - np.trace(op @ rn).real) < 1e-12, (label, n, word)
 
     def test_gather_tables_follow_the_dense_words(self):
-        # tr[W R] = sum_j R[j, q(j)], q(j) the row of the 1 in column j of W; the
-        # real traces cannot tell W from W^-1, so the tables are pinned entry by entry.
-        # Copies 2f and 2f + 1 read entry 16 e_2f + e_2f+1 of the flat pair table
-        # rho_i rho_j, and an odd last copy its entry e of rho.reshape(16)
-        for n in COPY_COUNTS:
-            digits = (np.arange(4**n) >> 2 * np.arange(n - 1, -1, -1)[:, None]) & 3  # base-4 digit of copy k
-            expected = np.empty((n // 2 + n % 2, len(_TABLE_WORDS), 4**n), dtype=np.intp)
+        # the real traces cannot tell W from W^-1, so the tables are pinned entry
+        # by entry against dense_entries.  At n = 2 and 3 row k is the entry e_k
+        # of rho.reshape(16) that copy k reads; at n = 4 copies 2f and 2f + 1
+        # read entry 16 e_2f + e_2f+1 of the flat pair table rho_i rho_j, two rows
+        for n, rows in ((2, 2), (3, 3), (4, 2)):
+            expected = np.empty((rows, len(_TABLE_WORDS), 4**n), dtype=np.intp)
             for w, word in enumerate(_TABLE_WORDS):
-                dense = reduce(np.matmul, [swap_layer(n, stage) for stage in word], np.eye(4**n))
-                entry = 4 * digits + digits[:, dense.argmax(axis=0)]  # entry of rho copy k reads
-                for f in range(n // 2):
-                    expected[f, w] = 16 * entry[2 * f] + entry[2 * f + 1]
-                if n % 2:
-                    expected[-1, w] = entry[-1]
+                entry = dense_entries(n, word)
+                expected[:, w] = entry if n < 4 else 16 * entry[0::2] + entry[1::2]
             assert np.array_equal(_trace_indices(n, _TABLE_WORDS), expected), n
+
+    def test_small_traces_equal_the_pair_table_product(self):
+        # at n = 2 and 3 the engine multiplies entries of rho left to right,
+        # (rho_i rho_j) rho_k: bit for bit the pair entry rho_i rho_j of the
+        # 256-entry pair table times rho_k, summed as the engine sums
+        for n in (2, 3):
+            entries = [dense_entries(n, word) for word in _TABLE_WORDS]
+            for label, rho in oracle_states():
+                r = np.asarray(rho, dtype=complex).reshape(16)
+                pairs = (r[:, None] * r[None, :]).reshape(256)
+                for word, entry, trace in zip(_TABLE_WORDS, entries, _permutation_traces(rho, n, _TABLE_WORDS)):
+                    terms = pairs[16 * entry[0] + entry[1]]
+                    if n == 3:
+                        terms = terms * r[entry[2]]
+                    assert trace == np.add.reduce(terms).real, (label, n, word)
 
     def test_unnormalized_input_matches_oracle(self):
         # t(I) = (tr rho)^n enters the table as it does the dense trace, and

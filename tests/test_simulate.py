@@ -367,9 +367,12 @@ class TestEstimate:
             (3, [True, True, True, False], "counts must be integers, not bools"),
             (3, np.array([True, True, True, False]), "counts must be integers, not bools"),
             (3, [1, 1, 1], "counts must have 4 entries, got shape \\(3,\\)"),
+            (4, np.array([1 + 2j, 1, 1, 1]), "counts must be real, got dtype complex128"),
+            (4, [1 + 0j, 1, 1, 1], "counts must be real, got dtype complex128"),
         ],
         ids=["zero-shots", "negative", "fractional", "wrong-sum", "bool-shots", "float-shots", "past-2**53",
-             "bool-counts-list", "bool-counts-array", "three-counts"],
+             "bool-counts-list", "bool-counts-array", "three-counts", "complex-counts-array",
+             "complex-counts-list"],
     )
     def test_hand_built_record_rejected(self, shots, counts, message):
         with pytest.raises(ValueError, match=message):

@@ -39,7 +39,7 @@ import numpy as np
 from .collective import (_LAYER_PAIRS, COPY_COUNTS, _swap_permutation, layer_permutation,
                          moment_cycle, moment_via_observable, outcome_probabilities)
 from .invariants import apply_local_unitary, decompose, makhlin, moments_via_invariants
-from .linalg import _matrix
+from .linalg import _integer, _matrix
 from .states import haar_unitary
 from .witness import moments_direct, witness_report, witness_value
 
@@ -225,8 +225,10 @@ def local_unitary_drift(batch, rng, rotations: int) -> tuple:
     """Largest change of any of the nine Makhlin invariants or the six y
     combinations under `rotations` local unitaries u_a x u_b per state, each
     factor Haar-random from `rng` (drawn state by state, rotation by rotation,
-    u_a before u_b), with its state (_worst)."""
-    batch = _matrix(batch)
+    u_a before u_b), with its state (_worst).  ValueError unless rotations
+    is an integer >= 1: no rotation would pass with drift 0."""
+    batch = _matrix(batch, "batch")
+    _integer(rotations, "rotations", low=1)
     u = haar_unitary(rng, shape=(*batch.shape[:-2], rotations, 2))
     rotated = apply_local_unitary(batch[..., None, :, :], u[..., 0, :, :], u[..., 1, :, :])
     base = _invariant_values(batch)[..., None, :]

@@ -46,8 +46,9 @@ from .simulate import estimate, sample_shots
 from .witness import moments_direct, witness_report, witness_value
 
 
-# scatter evaluates its states in blocks of this many: one call per layer per
-# block, with a peak memory that does not grow with --samples
+# scatter evaluates its states in blocks of this many: one witness_report call
+# per block, whose numpy work (the states and their spectra) is bounded by the
+# block, not by --samples; the CSV rows themselves are all kept until the end
 SCATTER_BLOCK = 1024
 
 

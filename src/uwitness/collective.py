@@ -64,7 +64,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import _matrix, _real, _result
+from .linalg import _integer, _matrix, _real, _result
 from .witness import MomentSet
 
 COPY_COUNTS = (2, 3, 4)
@@ -79,10 +79,11 @@ _LAYER_PAIRS = {
     (4, 2): (("b", 1, 2), ("b", 3, 4), ("a", 2, 3)),
 }
 
-def _check_n(n: int, allowed: tuple = COPY_COUNTS):
-    # 2.0 == 2, but a float is no copy count: it would fail in the bit shifts
-    if not isinstance(n, (int, np.integer)) or n not in allowed:
-        raise ValueError(f"copy count must be one of {allowed}, got {n}")
+
+def _check_n(n, allowed: tuple = COPY_COUNTS):
+    """n by the integer rule, one of `allowed`: 2.0 == 2, but a float is no
+    copy count, and would fail in the bit shifts."""
+    _integer(n, "copy count", allowed)
 
 
 def _qubit(side: str, copy: int) -> int:
@@ -117,8 +118,7 @@ def layer_permutation(n: int, stage: int) -> np.ndarray:
     """The stage-1 or stage-2 swap layer on n copies as a basis permutation
     (see _swap_permutation): the one definition of a layer."""
     _check_n(n)
-    if stage not in (1, 2):
-        raise ValueError(f"stage must be one of (1, 2), got {stage}")
+    _integer(stage, "stage", (1, 2))
     return _swap_permutation(n, _LAYER_PAIRS[(n, stage)])
 
 
@@ -217,8 +217,9 @@ class OutcomeTable:
     probabilities[..., x, y] is the chance of stage-2 outcome x after
     stage-1 outcome y, indexed 0 <-> +1 and 1 <-> -1, with the leading axes
     of the states.  The signed sum p(+,+) - p(+,-) - p(-,+) + p(-,-)
-    recovers the moment.  ValueError unless the table is real (a complex
-    dtype is refused) of shape (..., 2, 2).
+    recovers the moment.  ValueError unless n_copies is one of 2, 3, 4 and
+    the table is real numbers, by the number rule of uwitness.linalg, of
+    shape (..., 2, 2).
     """
 
     n_copies: int

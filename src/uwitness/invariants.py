@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _dagger, _matrix, _result, _trace
+from .linalg import _complex, _dagger, _matrix, _result, _trace
 from .witness import MomentSet
 
 # sigma_0 = I, sigma_x, sigma_y, sigma_z as one (4, 2, 2) stack
@@ -133,9 +133,10 @@ def moments_via_invariants(rho: np.ndarray) -> MomentSet:
 
 def apply_local_unitary(rho: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
     """(u_a x u_b) rho (u_a x u_b)^dag; the (..., 2, 2) factors broadcast
-    against the (..., 4, 4) states.  ValueError naming the shape of a factor
-    that is not (..., 2, 2) or of a rho off the matrix rule."""
-    u_a, u_b = np.asarray(u_a, dtype=complex), np.asarray(u_b, dtype=complex)
+    against the (..., 4, 4) states.  ValueError naming a factor off the
+    number rule of uwitness.linalg, the shape of a factor that is not
+    (..., 2, 2), or a rho off the matrix rule."""
+    u_a, u_b = _complex(u_a, "u_a"), _complex(u_b, "u_b")
     for u in (u_a, u_b):
         if u.shape[-2:] != (2, 2):
             raise ValueError(f"expected 2x2 local factors or (..., 2, 2) stacks, got shape {u.shape}")

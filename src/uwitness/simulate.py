@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .collective import COPY_COUNTS, _check_n, outcome_probabilities
-from .linalg import _matrix, _real
+from .linalg import _integer, _matrix, _real
 from .states import validate
 from .witness import witness_polynomial
 
@@ -40,9 +40,9 @@ class ShotRecord:
 
     counts follows OutcomeTable.as_vector() order: (+,+), (+,-), (-,+), (-,-).
     A hand-built record is checked like a drawn one: ValueError unless
-    n_copies is one of 2, 3, 4 (no float), shots is an integer in
-    [1, 2**53] (no bool, no float) and the counts are four nonnegative
-    integers (no bool, no complex dtype) summing to shots.
+    n_copies is one of 2, 3, 4 and shots an integer in [1, 2**53], by the
+    integer rule of uwitness.linalg, and the counts, by its number rule, are
+    four nonnegative integers summing to shots.
     """
 
     n_copies: int
@@ -52,12 +52,10 @@ class ShotRecord:
 
     def __post_init__(self):
         _check_n(self.n_copies)
-        c = _real(self.counts, "counts")
+        c = _real(self.counts, "counts", "integers")
         if c.shape != (4,):
             raise ValueError(f"counts must have 4 entries, got shape {c.shape}")
-        if any(isinstance(x, (bool, np.bool_)) for x in self.counts):
-            raise ValueError(f"counts must be integers, not bools, got {self.counts!r}")
-        _require_count("shots", self.shots)
+        _integer(self.shots, "shots", low=1, float_exact=True)
         if not ((c >= 0) & (c == np.floor(c))).all():
             raise ValueError(f"counts must be nonnegative integers, got {c.tolist()}")
         if c.sum() != self.shots:
@@ -84,16 +82,6 @@ class WitnessEstimate:
         return doc
 
 
-def _require_count(name, value):
-    """ValueError naming value unless it is an integer in [1, 2**53], where float64 is exact."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    if value > 2**53:
-        raise ValueError(f"{name} must be <= 2**53, got {value}")
-
-
 def sample_shots(rho: np.ndarray, n: int, shots: int, seed: int) -> ShotRecord:
     """Draw the outcome counts of ``shots`` runs of the n-copy sequential
     measurement on the single (4, 4) state ``rho``.
@@ -105,11 +93,13 @@ def sample_shots(rho: np.ndarray, n: int, shots: int, seed: int) -> ShotRecord:
     (the last 64), keyed on the state's complex entries, so a state sampled
     again is not tabled again and a state edited in place gets its own
     table.  Raises ValueError unless ``shots`` is an integer in [1, 2**53],
-    ``n`` one of 2, 3, 4, and ``rho`` one matrix (not a stack) that validate
-    accepts, with validate's message.
+    ``n`` one of 2, 3, 4, ``seed`` an integer >= 0 (not None: a record
+    carries the seed that reproduces it), and ``rho`` one matrix (not a
+    stack) that validate accepts, with validate's message.
     """
-    _require_count("shots", shots)
+    _integer(shots, "shots", low=1, float_exact=True)
     _check_n(n)
+    _integer(seed, "seed", low=0)
     rho = _matrix(rho)
     if rho.ndim != 2:
         raise ValueError(f"sample_shots takes one (4, 4) state, got shape {rho.shape}")
@@ -151,7 +141,8 @@ def estimate(records, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> Witn
     under a multinomial resample of the counts (the moment depends on the
     even-parity count alone).  The interval's ends are the ceil(0.025 R)-th
     and ceil(0.975 R)-th smallest of the R = ``resamples`` recomputed witness
-    values.  Raises ValueError unless ``resamples`` is an integer in [1, 2**53].
+    values.  Raises ValueError unless ``resamples`` is an integer in
+    [1, 2**53] and ``seed`` an integer >= 0.
     """
     by_n = {}
     for r in records:
@@ -161,7 +152,8 @@ def estimate(records, resamples: int = DEFAULT_RESAMPLES, seed: int = 0) -> Witn
     missing = [n for n in COPY_COUNTS if n not in by_n]
     if missing:
         raise ValueError(f"missing shot records for n = {missing}")
-    _require_count("resamples", resamples)
+    _integer(resamples, "resamples", low=1, float_exact=True)
+    _integer(seed, "seed", low=0)
 
     hats = {n: moment_estimate(by_n[n]) for n in COPY_COUNTS}
     witness_hat = float(witness_polynomial(hats[2], hats[3], hats[4]))

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .linalg import _dagger, _matrix, _position, _trace
+from .linalg import _dagger, _integer, _matrix, _position, _real, _result, _trace
 
 # the state rule: a finite Hermitian (4, 4) matrix of unit trace, no eigenvalue
 # below -POSITIVITY_ATOL
@@ -101,8 +101,10 @@ def phi_plus() -> np.ndarray:
 def werner(p: float) -> np.ndarray:
     """Werner state: p * singlet + (1 - p) * I/4.
 
-    Entangled iff p > 1/3; p must lie in [0, 1].
+    Entangled iff p > 1/3; p must be a real number (the number rule of
+    uwitness.linalg) in [0, 1].
     """
+    p = _result(_real(p, "werner mixing parameter"))
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"werner mixing parameter must be in [0, 1], got {p}")
     return p * singlet() + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
@@ -110,7 +112,8 @@ def werner(p: float) -> np.ndarray:
 
 def product_state(theta: float) -> np.ndarray:
     """Separable pure product state with one-qubit angles theta and theta/2;
-    theta must be finite."""
+    theta must be a finite real number."""
+    theta = _result(_real(theta, "product state angle"))
     if not np.isfinite(theta):
         raise ValueError(f"product state angle must be finite, got {theta}")
     qa = np.array([np.cos(theta), np.sin(theta)])
@@ -119,7 +122,9 @@ def product_state(theta: float) -> np.ndarray:
 
 
 def pure_schmidt(lam1: float) -> np.ndarray:
-    """Pure state lam1 |00> + sqrt(1 - lam1^2) |11> with Schmidt coefficient lam1."""
+    """Pure state lam1 |00> + sqrt(1 - lam1^2) |11> with Schmidt coefficient
+    lam1, a real number in [0, 1]."""
+    lam1 = _result(_real(lam1, "Schmidt coefficient"))
     if not 0.0 <= lam1 <= 1.0:
         raise ValueError(f"Schmidt coefficient must be in [0, 1], got {lam1}")
     lam2 = np.sqrt(max(0.0, 1.0 - lam1 * lam1))
@@ -174,7 +179,8 @@ def random_pure_state(rng: np.random.Generator, k=None) -> np.ndarray:
 
 
 def _block(k) -> tuple:
-    return () if k is None else (k,)
+    """() for k = None, one state; else (k,) for an integer k >= 0."""
+    return () if k is None else (_integer(k, "k", low=0),)
 
 
 def _complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -198,14 +204,17 @@ class StateSampler:
 
     kind is "hs" (Hilbert-Schmidt mixed, the default) or "pure" (Haar pure),
     both _gram of a complex Gaussian g with 4 or 1 columns; equal seeds
-    reproduce the sequence bit for bit.  sample() draws one (4, 4) state and
-    sample(k) a (k, 4, 4) block; the stream does not depend on how it is
-    split into blocks, bit for bit.
+    reproduce the sequence bit for bit, and seed=None draws fresh entropy;
+    any other seed is an integer >= 0.  sample() draws one (4, 4) state and
+    sample(k), for an integer k >= 0, a (k, 4, 4) block; the stream does not
+    depend on how it is split into blocks, bit for bit.
     """
 
     def __init__(self, kind: str = "hs", seed=None):
         if kind not in ENSEMBLE_KINDS:
             raise ValueError(f"unknown ensemble kind {kind!r} (use 'hs' or 'pure')")
+        if seed is not None:
+            _integer(seed, "seed", low=0)
         self.kind = kind
         self._rng = np.random.default_rng(seed)
 

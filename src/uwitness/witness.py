@@ -40,7 +40,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .linalg import _positive_part, _result, _trace, partial_transpose
+from .linalg import _positive_part, _real, _result, _trace, partial_transpose
 from .states import _require_state
 
 # witness values within this band of zero are treated as "not detected"
@@ -159,9 +159,10 @@ def _concurrence(d, v):
 
 
 def _check_w(w):
-    """Any array-like w as a Python float or a float array, clamped to [0, 1]
-    after checking that it lies within 1e-9 of that interval (a NaN fails)."""
-    w = _result(np.asarray(w, dtype=float))
+    """Any array-like w of real numbers (the number rule of uwitness.linalg)
+    as a Python float or a float array, clamped to [0, 1] after checking
+    that it lies within 1e-9 of that interval (a NaN fails)."""
+    w = _result(_real(w, "rescaled witness"))
     outside = (w < -1e-9) | (w > 1.0 + 1e-9) | (w != w)
     if np.count_nonzero(outside):
         raise ValueError(f"rescaled witness must be in [0, 1], got {np.ravel(w)[np.ravel(outside)][0]}")

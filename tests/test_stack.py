@@ -14,13 +14,14 @@ import pytest
 
 from uwitness import checks
 from uwitness.cli import SCATTER_BLOCK, main
-from uwitness.collective import (_TRACE_BLOCK, COPY_COUNTS, moment_cycle, moment_via_observable,
-                                 moments_collective, outcome_probabilities)
+from uwitness.collective import (_TRACE_BLOCK, COPY_COUNTS, OutcomeTable, layer_permutation, moment_cycle,
+                                 moment_via_observable, moments_collective, outcome_probabilities)
 from uwitness.invariants import (apply_local_unitary, decompose, makhlin, moments_from_invariants,
                                  moments_via_invariants)
 from uwitness.linalg import partial_transpose
-from uwitness.simulate import sample_shots
-from uwitness.states import StateSampler, haar_unitary, state_to_dict, validate, werner
+from uwitness.simulate import ShotRecord, estimate, sample_shots
+from uwitness.states import (StateSampler, haar_unitary, product_state, pure_schmidt, state_to_dict, validate,
+                             werner)
 from uwitness.witness import (bounds, concurrence, lower_bound, moments_direct, negativity,
                               rescaled_witness, upper_bound, witness_report, witness_value)
 
@@ -85,6 +86,113 @@ def test_every_entry_point_applies_the_one_matrix_rule(name, shape):
     fn = STATE_LAYERS.get(name) or MATRIX_ENTRY_POINTS[name]
     with pytest.raises(ValueError, match=re.escape(f"expected a 4x4 matrix or a (..., 4, 4) stack, got shape {shape}")):
         fn(np.ones(shape) / shape[-1])
+
+
+def not_numbers(shape):
+    """A string, a bool and an object array holding a complex, each of
+    `shape`, () being a scalar: the inputs numpy would read as numbers, or
+    fail on with its own TypeError, that the number rule refuses."""
+    return {"string": np.full(shape, "0.25") if shape else "0.25",
+            "bool": np.ones(shape, dtype=bool) if shape else True,
+            "object-complex": np.full(shape, 0.25 + 1j, dtype=object)}
+
+
+def records():
+    return [sample_shots(werner(0.5), n, 10, seed=0) for n in COPY_COUNTS]
+
+
+# (entry point, the name its message gives the argument, its shape, a call
+# that passes the argument under test) for every argument the number rule
+# judges; each matrix entry point above takes its matrix by that rule too
+NUMBER_ARGUMENTS = [
+    ("OutcomeTable.probabilities", "probabilities", (2, 2), lambda x: OutcomeTable(2, x)),
+    ("ShotRecord.counts", "counts", (4,), lambda x: ShotRecord(2, 4, x, 0)),
+    ("apply_local_unitary.u_a", "u_a", (2, 2), lambda x: apply_local_unitary(werner(0.5), x, np.eye(2))),
+    ("apply_local_unitary.u_b", "u_b", (2, 2), lambda x: apply_local_unitary(werner(0.5), np.eye(2), x)),
+    ("bounds", "rescaled witness", (), bounds),
+    ("lower_bound", "rescaled witness", (), lower_bound),
+    ("upper_bound", "rescaled witness", (), upper_bound),
+    ("werner", "werner mixing parameter", (), werner),
+    ("product_state", "product state angle", (), product_state),
+    ("pure_schmidt", "Schmidt coefficient", (), pure_schmidt),
+] + [(name, "batch" if name == "local_unitary_drift" else "rho", (4, 4), fn)
+     for name, fn in sorted({**STATE_LAYERS, **MATRIX_ENTRY_POINTS}.items())]
+
+# (entry point, the name its message gives the argument, a call that passes
+# the argument under test, its values beside those of every integer) for
+# every argument the integer rule judges
+INTEGER_ARGUMENTS = [
+    ("moment_cycle.n", "copy count", lambda x: moment_cycle(werner(0.5), x), {}),
+    ("moment_via_observable.n", "copy count", lambda x: moment_via_observable(werner(0.5), x), {}),
+    ("outcome_probabilities.n", "copy count", lambda x: outcome_probabilities(werner(0.5), x), {}),
+    ("layer_permutation.n", "copy count", lambda x: layer_permutation(x, 1), {}),
+    ("layer_permutation.stage", "stage", lambda x: layer_permutation(2, x), {"float": 1.0}),
+    ("OutcomeTable.n_copies", "copy count", lambda x: OutcomeTable(x, np.zeros((2, 2))), {}),
+    ("ShotRecord.n_copies", "copy count", lambda x: ShotRecord(x, 3, [1, 1, 1, 0], 0), {}),
+    ("ShotRecord.shots", "shots", lambda x: ShotRecord(2, x, [3, 0, 0, 0], 0), {}),
+    ("sample_shots.n", "copy count", lambda x: sample_shots(werner(0.5), x, 10, 0), {}),
+    ("sample_shots.shots", "shots", lambda x: sample_shots(werner(0.5), 2, x, 0), {}),
+    ("sample_shots.seed", "seed", lambda x: sample_shots(werner(0.5), 2, 10, x), {"none": None, "negative": -1}),
+    ("estimate.resamples", "resamples", lambda x: estimate(records(), resamples=x), {}),
+    ("estimate.seed", "seed", lambda x: estimate(records(), seed=x), {"none": None, "negative": -1}),
+    ("StateSampler.seed", "seed", lambda x: StateSampler("hs", x), {"negative": -1}),
+    ("StateSampler.sample.k", "k", lambda x: StateSampler("hs", 0).sample(x), {"negative": -1}),
+    ("local_unitary_drift.rotations", "rotations",
+     lambda x: checks.local_unitary_drift(werner(0.5)[None], np.random.default_rng(0), x), {"zero": 0}),
+]
+
+
+def number_cases():
+    for name, arg, shape, call in NUMBER_ARGUMENTS:
+        for kind, value in not_numbers(shape).items():
+            yield pytest.param(call, arg, value, id=f"{name}-{kind}")
+    # a bool entry of a list, which np.asarray reads as 0 or 1, and a list of strings
+    def record(counts):
+        return ShotRecord(2, 4, counts, 0)
+    yield pytest.param(record, "counts", [True, 1, 1, 1], id="ShotRecord.counts-bool-entry")
+    yield pytest.param(record, "counts", ["1", 1, 1, 1], id="ShotRecord.counts-string-list")
+    yield pytest.param(moments_direct, "rho", np.eye(4).tolist()[:3] + [[0, 0, 0, True]], id="moments_direct-bool-entry")
+    for name, arg, call, extra in INTEGER_ARGUMENTS:
+        values = {"string": "3", "bool": True, "object-complex": np.array(3 + 1j, dtype=object), "float": 3.0}
+        for kind, value in {**values, **extra}.items():
+            yield pytest.param(call, arg, value, id=f"{name}-{kind}")
+
+
+@pytest.mark.parametrize("call, arg, value", number_cases())
+def test_every_argument_applies_the_one_number_rule(call, arg, value):
+    # a string, a bool, an object array or a float where an integer is due is
+    # a ValueError naming the argument, not a number misread or numpy's error
+    with pytest.raises(ValueError, match=rf"^{re.escape(arg)} must be "):
+        call(value)
+
+
+def test_numbers_of_other_dtypes_pass():
+    # an int matrix is read as the complex matrix of the same numbers
+    pure00 = np.diag([1, 0, 0, 0])
+    for name, fn in STATE_LAYERS.items():
+        got, want = fn(pure00), fn(pure00.astype(complex))
+        for a, b in zip(*(x if isinstance(x, tuple) else (x,) for x in (got, want))):
+            assert np.array_equal(a, b), name
+    assert np.array_equal(apply_local_unitary(pure00, np.eye(2, dtype=int), [[0, 1], [1, 0]]), np.diag([0, 1, 0, 0]))
+    # numpy integers as copy counts, stages, shots, seeds and k
+    assert np.array_equal(outcome_probabilities(werner(0.5), np.int64(3)).probabilities,
+                          outcome_probabilities(werner(0.5), 3).probabilities)
+    assert np.array_equal(layer_permutation(np.int64(3), np.uint8(2)), layer_permutation(3, 2))
+    drawn = sample_shots(werner(0.5), np.int64(2), np.int32(1000), np.uint32(3))
+    assert np.array_equal(drawn.counts, sample_shots(werner(0.5), 2, 1000, 3).counts)
+    assert estimate(records(), resamples=np.int64(50), seed=np.uint32(4)) == estimate(records(), resamples=50, seed=4)
+    assert np.array_equal(StateSampler("hs", np.uint32(7)).sample(np.int64(2)), StateSampler("hs", 7).sample(2))
+    assert StateSampler("hs", 7).sample(0).shape == (0, 4, 4)
+    assert StateSampler("pure").sample().shape == (4, 4)  # seed=None: fresh entropy
+    assert checks.local_unitary_drift(werner(0.5)[None], np.random.default_rng(0), np.int64(1))[0]
+    # counts as a list of Python ints and as integer-valued floats
+    assert ShotRecord(np.int64(2), 4, [1, 1, 1, 1], 0).counts.tolist() == [1.0, 1.0, 1.0, 1.0]
+    assert ShotRecord(2, np.int64(4), [1.0, 0.0, 2.0, 1.0], 0).counts.tolist() == [1.0, 0.0, 2.0, 1.0]
+    assert OutcomeTable(2, [[1, 0], [0, 0]]).moment == 1.0
+    # int parameters and w
+    assert np.array_equal(werner(1), werner(1.0)) and np.array_equal(pure_schmidt(np.int64(1)), pure_schmidt(1.0))
+    assert np.array_equal(product_state(np.float32(0.5)), product_state(float(np.float32(0.5))))
+    assert bounds(1) == bounds(1.0) and lower_bound([0, 1]).tolist() == [0.0, 1.0]
 
 
 def per_state(fn, stack):

@@ -48,7 +48,9 @@ from .witness import moments_direct, witness_report, witness_value
 
 # scatter evaluates its states in blocks of this many: one witness_report call
 # per block, whose numpy work (the states and their spectra) is bounded by the
-# block, not by --samples; the CSV rows themselves are all kept until the end
+# block, not by --samples; so is the state gate's record of the last block,
+# about 0.6 KB a state, kept until the next gated call; the CSV rows
+# themselves are all kept until the end
 SCATTER_BLOCK = 1024
 
 

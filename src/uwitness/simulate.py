@@ -40,9 +40,9 @@ class ShotRecord:
 
     counts follows OutcomeTable.as_vector() order: (+,+), (+,-), (-,+), (-,-).
     A hand-built record is checked like a drawn one: ValueError unless
-    n_copies is one of 2, 3, 4 and shots an integer in [1, 2**53], by the
-    integer rule of uwitness.linalg, and the counts, by its number rule, are
-    four nonnegative integers summing to shots.
+    n_copies is one of 2, 3, 4, shots an integer in [1, 2**53] and seed an
+    integer >= 0, by the integer rule of uwitness.linalg, and the counts, by
+    its number rule, are four nonnegative integers summing to shots.
     """
 
     n_copies: int
@@ -56,6 +56,7 @@ class ShotRecord:
         if c.shape != (4,):
             raise ValueError(f"counts must have 4 entries, got shape {c.shape}")
         _integer(self.shots, "shots", low=1, float_exact=True)
+        _integer(self.seed, "seed", low=0)
         if not ((c >= 0) & (c == np.floor(c))).all():
             raise ValueError(f"counts must be nonnegative integers, got {c.tolist()}")
         if c.sum() != self.shots:

@@ -4,12 +4,22 @@ validate and the random samplers work on stacks of shape (..., 4, 4): a
 single state is the stack with no leading axes, and StateSampler.sample(k)
 draws k states as one (k, 4, 4) block.  Every state here, named or random,
 is built by one rule, _gram: g g^dag / tr(g g^dag) of a complex (..., 4, r) g.
+
+One private gate, _require_state, judges the state rule for validate and
+for every entry point of uwitness.witness.  It keeps a record of its last
+input, keyed on the bytes and shape of the complex array: the rule short of
+positivity, judged once when the record is built, and eigh of rho, from
+which positivity is read; the witness functions keep what they solve of the
+state in the same record.  So consecutive gated calls on one input share one
+gate pass and one solve of each kind, and an input edited in place, whose
+bytes differ, is judged afresh.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,37 +43,94 @@ def validate(rho) -> np.ndarray:
     positivity) together with the magnitude of the violation; for a stack,
     of the first invalid state, whose index it names.
     """
-    return _require_state(rho, np.linalg.eigvalsh)[0]
+    rho = _matrix(rho)
+    _require_state(rho)
+    return rho
 
 
-def _require_state(rho, solver):
-    """(rho as a complex array, solver(rho)), or validate's ValueError naming
-    the first matrix of the stack off the state rule: the one gate of every
-    entry point that takes a state.
+def _require_state(rho, positive: bool = True) -> _Record:
+    """The record of rho, or validate's ValueError naming the first matrix
+    of the stack off the state rule: the one gate of every entry point that
+    takes a state.
 
-    Shape, finiteness, Hermiticity and trace are judged on every call.
-    solver is the eigensolver the caller needs anyway, np.linalg.eigvalsh or
-    np.linalg.eigh, and positivity is judged from the lowest eigenvalue it
-    returns, where the matrix is Hermitian; None judges no positivity and
-    returns no spectrum.
+    The record judges the rule short of positivity once, when _memo builds
+    it; positivity is read from the record's eigh, unless positive is False.
+    A rejected input leaves no record, so it is judged again on every call.
     """
     rho = _matrix(rho)
+    try:
+        record = _memo(rho.tobytes(), rho.shape)
+    except ValueError:
+        if positive and np.isfinite(rho).all():
+            # the whole rule's message: the first matrix off any criterion
+            raise ValueError(_violation(rho, np.linalg.eigvalsh(rho)[..., 0])) from None
+        raise
+    if positive and not record.kept(_positive):
+        _memo.cache_clear()
+        raise ValueError(_violation(rho, record.kept(_eigh)[0][..., 0]))
+    return record
+
+
+class _Record:
+    """One input of the state gate: its matrix, read-only, and what is
+    solved of it, each value solve(record) computed on first use of
+    kept(solve) and then kept.  Callers copy what they hand out."""
+
+    __slots__ = ("rho", "_kept")
+
+    def __init__(self, rho: np.ndarray):
+        self.rho = rho
+        self._kept = {}
+
+    def kept(self, solve):
+        try:
+            return self._kept[solve]
+        except KeyError:
+            value = self._kept[solve] = solve(self)
+            return value
+
+
+@lru_cache(maxsize=1)
+def _memo(state: bytes, shape: tuple) -> _Record:
+    """The record of the complex array of `shape` whose bytes are `state`,
+    once it passes the state rule short of positivity; lru_cache keeps no
+    exception.  One record, so consecutive gated calls on one input share
+    it, and an input edited in place has other bytes and a new record."""
+    rho = np.frombuffer(state, dtype=complex).reshape(shape)
+    message = _violation(rho)
+    if message:
+        raise ValueError(message)
+    return _Record(rho)
+
+
+def _eigh(record: _Record):
+    """eigh of the record's matrix: ascending eigenvalues and eigenvectors."""
+    return np.linalg.eigh(record.rho)
+
+
+def _positive(record: _Record) -> bool:
+    """No eigenvalue of any matrix of the record below -POSITIVITY_ATOL."""
+    return not np.count_nonzero(record.kept(_eigh)[0][..., 0] < -POSITIVITY_ATOL)
+
+
+def _violation(rho: np.ndarray, lowest=None) -> str:
+    """validate's message for the first matrix of the stack off the state
+    rule, or '' if there is none; positivity is judged from each matrix's
+    lowest eigenvalue `lowest`, where given and the matrix is Hermitian."""
     finite = np.isfinite(rho)
     if np.count_nonzero(finite) != rho.size:
         # before rho - rho^dag, where inf - inf would make numpy warn
-        raise ValueError(f"non-finite entry in {_position(~finite.all(axis=(-2, -1))) or 'the matrix'}")
-    spectrum = None if solver is None else solver(rho)
+        return f"non-finite entry in {_position(~finite.all(axis=(-2, -1))) or 'the matrix'}"
     # a finite matrix can still have a margin past the float range: it reads
     # inf, and numpy does not warn first
     with np.errstate(over="ignore"):
         herm_dev = np.abs(rho - _dagger(rho)).max(axis=(-2, -1))
         trace_dev = abs(_trace(rho) - 1.0)
     invalid = (herm_dev > HERMITICITY_ATOL) | (trace_dev > TRACE_ATOL)
-    if spectrum is not None:  # eigh returns (eigenvalues, eigenvectors), eigvalsh the eigenvalues
-        min_eig = (spectrum[0] if isinstance(spectrum, tuple) else spectrum)[..., 0]
-        invalid = invalid | (min_eig < -POSITIVITY_ATOL)
+    if lowest is not None:
+        invalid = invalid | (lowest < -POSITIVITY_ATOL)
     if not np.count_nonzero(invalid):
-        return rho, spectrum
+        return ""
     index = tuple(np.argwhere(invalid)[0])
     problems = []
     if herm_dev[index] > HERMITICITY_ATOL:
@@ -71,10 +138,10 @@ def _require_state(rho, solver):
     if trace_dev[index] > TRACE_ATOL:
         problems.append(f"trace differs from 1 by {trace_dev[index]:.3e}")
     # the spectrum is judged only where the matrix is Hermitian
-    if spectrum is not None and herm_dev[index] <= HERMITICITY_ATOL and min_eig[index] < -POSITIVITY_ATOL:
-        problems.append(f"not positive semidefinite (min eigenvalue = {min_eig[index]:.3e})")
+    if lowest is not None and herm_dev[index] <= HERMITICITY_ATOL and lowest[index] < -POSITIVITY_ATOL:
+        problems.append(f"not positive semidefinite (min eigenvalue = {lowest[index]:.3e})")
     where = _position(invalid)
-    raise ValueError("invalid density matrix: " + (where + ": " if where else "") + "; ".join(problems))
+    return "invalid density matrix: " + (where + ": " if where else "") + "; ".join(problems)
 
 
 def _gram(g) -> np.ndarray:
@@ -193,7 +260,8 @@ def _complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 def haar_unitary(rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
     """Haar-random one-qubit unitary via QR of a Ginibre matrix with phase
     fixing; a (*shape, 2, 2) stack from one draw, the stream of the single
-    draws in row-major order."""
+    draws in row-major order.  Each entry of shape is an integer >= 0."""
+    shape = tuple(_integer(k, "shape", low=0) for k in shape)
     q, r = np.linalg.qr(_complex_normal(rng, (*shape, 2, 2)) / np.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]

@@ -21,7 +21,11 @@ bools, a stack gives arrays of its leading shape.  witness_report and
 concurrence raise validate's ValueError for the first state of the stack
 that validate would reject, judged from the eigendecomposition concurrence
 needs anyway; negativity the same short of positivity, which would take a
-second eigensolve.  The moments are polynomials and pass a NaN through.
+second eigensolve.  All three read the state gate's record of their input
+(see uwitness.states): the eigvalsh of rho^PT and C are solved once per
+record and copied out, so validate, witness_report, negativity and
+concurrence on one state make one eigh, one eigvalsh and one svd.  The
+moments are polynomials and pass a NaN through.
 
 Error model: the report's w carries at most a few 1e-15 absolute error,
 since each eigenvalue of rho^PT is off by about eps, and less near w = 0,
@@ -41,7 +45,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .linalg import _positive_part, _real, _result, _trace, partial_transpose
-from .states import _require_state
+from .states import _eigh, _require_state
 
 # witness values within this band of zero are treated as "not detected"
 ENTANGLEMENT_ATOL = 1e-12
@@ -119,14 +123,21 @@ def negativity(rho: np.ndarray):
     eigenvalue passes, since judging it would take an eigensolve of rho on
     top of the one of rho^PT.
     """
-    return _spectrum(_require_state(rho, None)[0])[0]
+    return _owned(_require_state(rho, positive=False).kept(_spectrum)[0])
 
 
-def _spectrum(rho):
-    """(N, det rho^PT) from the one ascending eigvalsh of rho^PT: N is
-    2 max(0, -lambda_min), det the product of the eigenvalues."""
-    lam = np.linalg.eigvalsh(partial_transpose(rho))
+def _spectrum(record):
+    """(N, det rho^PT) of the record's matrix from the one ascending eigvalsh
+    of rho^PT: N is 2 max(0, -lambda_min), det the product of the
+    eigenvalues."""
+    lam = np.linalg.eigvalsh(partial_transpose(record.rho))
     return 2.0 * _positive_part(-lam[..., 0]), _result(np.prod(lam, axis=-1))
+
+
+def _owned(x):
+    """A value kept in a state's record as the caller's own: a stack's array
+    copied, so writing to it leaves the record as it was; a float as it is."""
+    return x.copy() if isinstance(x, np.ndarray) else x
 
 
 def concurrence(rho: np.ndarray):
@@ -146,7 +157,12 @@ def concurrence(rho: np.ndarray):
     ValueError for any input that validate would reject, judged from the
     same eigendecomposition.
     """
-    return _concurrence(*_require_state(rho, np.linalg.eigh)[1])
+    return _owned(_require_state(rho).kept(_wootters))
+
+
+def _wootters(record):
+    """C of the record's matrix, from its kept eigh."""
+    return _concurrence(*record.kept(_eigh))
 
 
 def _concurrence(d, v):
@@ -210,16 +226,16 @@ def witness_report(rho: np.ndarray) -> WitnessReport:
     """Witness, rescaled value, exact measures, and the bound corridor for a
     state, or for each state of a (..., 4, 4) stack (every field an array);
     ValueError for any input that validate would reject."""
-    rho, (d, v) = _require_state(rho, np.linalg.eigh)
-    (n, value), c = _spectrum(rho), _concurrence(d, v)
+    record = _require_state(rho)
+    (n, value), c = record.kept(_spectrum), record.kept(_wootters)
     # rescaled_witness already clamps w to [0, 1]: no second check
     w = rescaled_witness(value)
     lo, hi = _bounds(w)
     return WitnessReport(
-        witness=value,
+        witness=_owned(value),
         w=w,
-        negativity=n,
-        concurrence=c,
+        negativity=_owned(n),
+        concurrence=_owned(c),
         lower_bound=lo,
         upper_bound=hi,
         entangled=value < -ENTANGLEMENT_ATOL,

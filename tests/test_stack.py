@@ -130,6 +130,8 @@ INTEGER_ARGUMENTS = [
     ("OutcomeTable.n_copies", "copy count", lambda x: OutcomeTable(x, np.zeros((2, 2))), {}),
     ("ShotRecord.n_copies", "copy count", lambda x: ShotRecord(x, 3, [1, 1, 1, 0], 0), {}),
     ("ShotRecord.shots", "shots", lambda x: ShotRecord(2, x, [3, 0, 0, 0], 0), {}),
+    ("ShotRecord.seed", "seed", lambda x: ShotRecord(2, 3, [1, 1, 1, 0], x),
+     {"none": None, "negative": -1, "fraction": 1.5}),
     ("sample_shots.n", "copy count", lambda x: sample_shots(werner(0.5), x, 10, 0), {}),
     ("sample_shots.shots", "shots", lambda x: sample_shots(werner(0.5), 2, x, 0), {}),
     ("sample_shots.seed", "seed", lambda x: sample_shots(werner(0.5), 2, 10, x), {"none": None, "negative": -1}),
@@ -137,6 +139,8 @@ INTEGER_ARGUMENTS = [
     ("estimate.seed", "seed", lambda x: estimate(records(), seed=x), {"none": None, "negative": -1}),
     ("StateSampler.seed", "seed", lambda x: StateSampler("hs", x), {"negative": -1}),
     ("StateSampler.sample.k", "k", lambda x: StateSampler("hs", 0).sample(x), {"negative": -1}),
+    ("haar_unitary.shape", "shape", lambda x: haar_unitary(np.random.default_rng(0), (x,)),
+     {"negative": -1, "fraction": 1.5}),
     ("local_unitary_drift.rotations", "rotations",
      lambda x: checks.local_unitary_drift(werner(0.5)[None], np.random.default_rng(0), x), {"zero": 0}),
 ]
@@ -188,6 +192,9 @@ def test_numbers_of_other_dtypes_pass():
     # counts as a list of Python ints and as integer-valued floats
     assert ShotRecord(np.int64(2), 4, [1, 1, 1, 1], 0).counts.tolist() == [1.0, 1.0, 1.0, 1.0]
     assert ShotRecord(2, np.int64(4), [1.0, 0.0, 2.0, 1.0], 0).counts.tolist() == [1.0, 0.0, 2.0, 1.0]
+    assert ShotRecord(2, 4, [1, 1, 1, 1], np.uint32(3)).seed == 3
+    assert np.array_equal(haar_unitary(np.random.default_rng(0), (np.int64(2),)),
+                          haar_unitary(np.random.default_rng(0), (2,)))
     assert OutcomeTable(2, [[1, 0], [0, 0]]).moment == 1.0
     # int parameters and w
     assert np.array_equal(werner(1), werner(1.0)) and np.array_equal(pure_schmidt(np.int64(1)), pure_schmidt(1.0))

@@ -6,9 +6,10 @@ state (validate, witness_report, negativity, concurrence, checks.witness_det
 and sample_shots) passes it through the same gate, so each rejects what
 validate rejects with validate's message; negativity alone does not judge
 positivity, which would take a second eigensolve.  sample_shots samples every
-state validate accepts at n = 2, 3 and 4.  The gate reads positivity from the
-spectrum its caller computes anyway: the eigensolver counts pin that no entry
-point solves twice.
+state validate accepts at n = 2, 3 and 4.  The gate keeps one record of its
+last input, with eigh of rho, positivity read from it, and what is solved of
+it: the eigensolver counts pin that one state through every entry point
+solves each kind once, and the record is never seen, edited or stale.
 """
 
 import re
@@ -19,7 +20,7 @@ import pytest
 
 from uwitness import checks
 from uwitness.simulate import _distribution, sample_shots
-from uwitness.states import POSITIVITY_ATOL, TRACE_ATOL, StateSampler, validate, werner
+from uwitness.states import POSITIVITY_ATOL, TRACE_ATOL, StateSampler, _memo, validate, werner
 from uwitness.witness import concurrence, negativity, witness_report
 
 SHOTS = 1000
@@ -170,7 +171,9 @@ def test_witness_report_accepts_the_validated_edge_states():
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """Counts of np.linalg.eigh, eigvalsh and svd calls while the test runs."""
+    """Counts of np.linalg.eigh, eigvalsh and svd calls while the test runs,
+    from an empty memo: an earlier test's record would solve nothing."""
+    _memo.cache_clear()
     calls = dict.fromkeys(("eigh", "eigvalsh", "svd"), 0)
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
@@ -192,7 +195,8 @@ def test_witness_report_gate_adds_no_eigensolve(lapack_calls):
     (concurrence, {"eigh": 1, "eigvalsh": 0, "svd": 1}),
     # the eigvalsh of rho^PT; positivity, which would take another, is not judged
     (negativity, {"eigh": 0, "eigvalsh": 1, "svd": 0}),
-    (validate, {"eigh": 0, "eigvalsh": 1, "svd": 0}),
+    # the eigh of the record, which concurrence and witness_report reuse
+    (validate, {"eigh": 1, "eigvalsh": 0, "svd": 0}),
 ], ids=["concurrence", "negativity", "validate"])
 def test_gate_adds_no_eigensolve(lapack_calls, entry, expected):
     entry(werner(0.7))
@@ -200,12 +204,86 @@ def test_gate_adds_no_eigensolve(lapack_calls, entry, expected):
 
 
 def test_sample_shots_makes_no_eigensolve(lapack_calls):
-    # the state rule is judged where a table is built: on a cache miss, one
-    # eigvalsh per (state, n); a cache hit solves nothing
+    # the state rule is judged where a table is built: the three cache
+    # misses of one state share one record, so one eigh; a hit solves nothing
     _distribution.cache_clear()
     for n in (2, 3, 4):
         sample_shots(werner(0.7), n, SHOTS, seed=n)
-    assert lapack_calls == {"eigh": 0, "eigvalsh": 3, "svd": 0}
+    assert lapack_calls == {"eigh": 1, "eigvalsh": 0, "svd": 0}
     for n in (2, 3, 4):
         sample_shots(werner(0.7), n, SHOTS, seed=n + 3)
-    assert lapack_calls == {"eigh": 0, "eigvalsh": 3, "svd": 0}
+    assert lapack_calls == {"eigh": 1, "eigvalsh": 0, "svd": 0}
+
+
+def test_one_state_through_every_entry_point_solves_each_kind_once(lapack_calls):
+    # the corridor path: one gate pass and one eigh, eigvalsh and svd, where
+    # each entry point on its own would make 2, 3 and 2 between them
+    rho = StateSampler("hs", 31).sample()
+    valid, rep, n, c = validate(rho), witness_report(rho), negativity(rho), concurrence(rho)
+    assert lapack_calls == {"eigh": 1, "eigvalsh": 1, "svd": 1}
+    assert valid is rho and (rep.negativity, rep.concurrence) == (n, c)
+    assert _memo.cache_info().currsize == 1
+    # a second state replaces the record: the memo holds one at most
+    witness_report(werner(0.7))
+    assert lapack_calls == {"eigh": 2, "eigvalsh": 2, "svd": 2}
+    assert _memo.cache_info().currsize == 1
+
+
+def test_a_state_edited_in_place_is_judged_again():
+    rho = werner(0.7)
+    witness_report(rho)
+    rho[0, 1] += 1e-6
+    message = "invalid density matrix: not Hermitian (max |rho - rho^dag| = 1.000e-06)"
+    for entry in (validate, witness_report, negativity, concurrence):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            entry(rho)
+    rho[0, 1] -= 1e-6
+    assert witness_report(rho) == witness_report(werner(0.7))
+
+
+def test_one_matrix_and_a_stack_of_it_do_not_share_a_record():
+    # the same bytes, another shape: a float for the matrix, an array for the stack
+    rho = werner(0.7)
+    assert type(negativity(rho)) is float and negativity(rho[None]).shape == (1,)
+    assert concurrence(rho[None]).shape == (1,) and type(concurrence(rho)) is float
+    assert witness_report(rho[None, None]).witness.shape == (1, 1)
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_a_rejected_matrix_raises_the_same_message_again_and_leaves_no_record(fault):
+    for entry in (validate, witness_report, concurrence):
+        _memo.cache_clear()
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as raised:
+                entry(FAULTS[fault])
+            messages.append(str(raised.value))
+            assert _memo.cache_info().currsize == 0
+        assert messages[0] == messages[1]
+
+
+def test_a_caller_cannot_write_into_the_record():
+    stack = StateSampler("hs", 41).sample(3)
+    n, c = negativity(stack), concurrence(stack)
+    rep = witness_report(stack)
+    rep.negativity[0] = rep.concurrence[0] = rep.witness[0] = 9.0
+    assert np.array_equal(negativity(stack), n) and np.array_equal(concurrence(stack), c)
+    negativity(stack)[1] = concurrence(stack)[1] = 9.0
+    assert np.array_equal(witness_report(stack).negativity, n)
+    assert np.array_equal(witness_report(stack).concurrence, c)
+    assert witness_report(stack).witness[0] != 9.0
+
+
+def test_the_first_invalid_state_is_named_over_the_whole_rule():
+    # state 1 fails positivity alone, state 3 Hermiticity: the entry points
+    # that judge positivity name state 1, negativity, which does not, state 3
+    stack = StateSampler("hs", 53).sample(5)
+    stack[1] = np.diag([1.2, -0.1, -0.1, 0.0])
+    stack[3, 0, 1] += 1e-6
+    not_psd = "invalid density matrix: state 1 of the stack: not positive semidefinite (min eigenvalue = -1.000e-01)"
+    not_hermitian = "invalid density matrix: state 3 of the stack: not Hermitian (max |rho - rho^dag| = 1.000e-06)"
+    for entry, message in ((validate, not_psd), (witness_report, not_psd), (concurrence, not_psd),
+                           (negativity, not_hermitian), (validate, not_psd)):
+        with pytest.raises(ValueError) as raised:
+            entry(stack)
+        assert str(raised.value) == message

@@ -6,12 +6,15 @@ draws k states as one (k, 4, 4) block.  Every state here, named or random,
 is built by one rule, _gram: g g^dag / tr(g g^dag) of a complex (..., 4, r) g.
 
 One private gate, _require_state, judges the state rule for validate and
-for every entry point of uwitness.witness.  It keeps a record of its last
-input, keyed on the bytes and shape of the complex array: the rule short of
-positivity, judged once when the record is built, and eigh of rho, from
-which positivity is read; the witness functions keep what they solve of the
-state in the same record.  So consecutive gated calls on one input share one
-gate pass and one solve of each kind, and an input edited in place, whose
+for every entry point of uwitness.witness, in one pass over its input:
+finiteness, then Hermiticity, unit trace and positivity together, the last
+read from one eigh of rho, naming the first bad state of a stack.  An
+input that passes leaves a record, keyed on the bytes and shape of the
+complex array, that holds that eigh; the witness functions keep what they
+solve of the state in the same record.  So consecutive gated calls on one
+input share one gate pass and one solve of each kind.  The record lives
+until a gated call on another input that passes the rule; a rejected input
+leaves no record and the memo as it was, and an input edited in place, whose
 bytes differ, is judged afresh.
 """
 
@@ -48,38 +51,25 @@ def validate(rho) -> np.ndarray:
     return rho
 
 
-def _require_state(rho, positive: bool = True) -> _Record:
+def _require_state(rho) -> _Record:
     """The record of rho, or validate's ValueError naming the first matrix
     of the stack off the state rule: the one gate of every entry point that
-    takes a state.
-
-    The record judges the rule short of positivity once, when _memo builds
-    it; positivity is read from the record's eigh, unless positive is False.
-    A rejected input leaves no record, so it is judged again on every call.
-    """
+    takes a state."""
     rho = _matrix(rho)
-    try:
-        record = _memo(rho.tobytes(), rho.shape)
-    except ValueError:
-        if positive and np.isfinite(rho).all():
-            # the whole rule's message: the first matrix off any criterion
-            raise ValueError(_violation(rho, np.linalg.eigvalsh(rho)[..., 0])) from None
-        raise
-    if positive and not record.kept(_positive):
-        _memo.cache_clear()
-        raise ValueError(_violation(rho, record.kept(_eigh)[0][..., 0]))
-    return record
+    return _memo(rho.tobytes(), rho.shape)
 
 
 class _Record:
-    """One input of the state gate: its matrix, read-only, and what is
-    solved of it, each value solve(record) computed on first use of
-    kept(solve) and then kept.  Callers copy what they hand out."""
+    """One state, or stack, that passed the state rule: its matrix,
+    read-only, its eigh, and what is solved of it, each value solve(record)
+    computed on first use of kept(solve) and then kept.  Callers copy what
+    they hand out."""
 
-    __slots__ = ("rho", "_kept")
+    __slots__ = ("rho", "eigh", "_kept")
 
-    def __init__(self, rho: np.ndarray):
+    def __init__(self, rho: np.ndarray, eigh):
         self.rho = rho
+        self.eigh = eigh
         self._kept = {}
 
     def kept(self, solve):
@@ -93,42 +83,33 @@ class _Record:
 @lru_cache(maxsize=1)
 def _memo(state: bytes, shape: tuple) -> _Record:
     """The record of the complex array of `shape` whose bytes are `state`,
-    once it passes the state rule short of positivity; lru_cache keeps no
-    exception.  One record, so consecutive gated calls on one input share
-    it, and an input edited in place has other bytes and a new record."""
+    or validate's ValueError: the state rule is judged here, in one pass,
+    from one eigh of rho.  lru_cache keeps no exception, so a rejected input
+    leaves the memo as it was.  One record, so consecutive gated calls on
+    one input share it, and an input edited in place has other bytes and a
+    new record."""
     rho = np.frombuffer(state, dtype=complex).reshape(shape)
-    message = _violation(rho)
-    if message:
-        raise ValueError(message)
-    return _Record(rho)
-
-
-def _eigh(record: _Record):
-    """eigh of the record's matrix: ascending eigenvalues and eigenvectors."""
-    return np.linalg.eigh(record.rho)
-
-
-def _positive(record: _Record) -> bool:
-    """No eigenvalue of any matrix of the record below -POSITIVITY_ATOL."""
-    return not np.count_nonzero(record.kept(_eigh)[0][..., 0] < -POSITIVITY_ATOL)
-
-
-def _violation(rho: np.ndarray, lowest=None) -> str:
-    """validate's message for the first matrix of the stack off the state
-    rule, or '' if there is none; positivity is judged from each matrix's
-    lowest eigenvalue `lowest`, where given and the matrix is Hermitian."""
     finite = np.isfinite(rho)
     if np.count_nonzero(finite) != rho.size:
-        # before rho - rho^dag, where inf - inf would make numpy warn
-        return f"non-finite entry in {_position(~finite.all(axis=(-2, -1))) or 'the matrix'}"
+        # before eigh, and before rho - rho^dag, where inf - inf would make numpy warn
+        raise ValueError(f"non-finite entry in {_position(~finite.all(axis=(-2, -1))) or 'the matrix'}")
+    eigh = np.linalg.eigh(rho)
+    message = _violation(rho, eigh[0][..., 0])
+    if message:
+        raise ValueError(message)
+    return _Record(rho, eigh)
+
+
+def _violation(rho: np.ndarray, lowest: np.ndarray) -> str:
+    """validate's message for the first matrix of a finite stack off the
+    state rule, or '' if there is none; positivity is judged from each
+    matrix's lowest eigenvalue `lowest`, where the matrix is Hermitian."""
     # a finite matrix can still have a margin past the float range: it reads
     # inf, and numpy does not warn first
     with np.errstate(over="ignore"):
         herm_dev = np.abs(rho - _dagger(rho)).max(axis=(-2, -1))
         trace_dev = abs(_trace(rho) - 1.0)
-    invalid = (herm_dev > HERMITICITY_ATOL) | (trace_dev > TRACE_ATOL)
-    if lowest is not None:
-        invalid = invalid | (lowest < -POSITIVITY_ATOL)
+    invalid = (herm_dev > HERMITICITY_ATOL) | (trace_dev > TRACE_ATOL) | (lowest < -POSITIVITY_ATOL)
     if not np.count_nonzero(invalid):
         return ""
     index = tuple(np.argwhere(invalid)[0])
@@ -138,7 +119,7 @@ def _violation(rho: np.ndarray, lowest=None) -> str:
     if trace_dev[index] > TRACE_ATOL:
         problems.append(f"trace differs from 1 by {trace_dev[index]:.3e}")
     # the spectrum is judged only where the matrix is Hermitian
-    if lowest is not None and herm_dev[index] <= HERMITICITY_ATOL and lowest[index] < -POSITIVITY_ATOL:
+    if herm_dev[index] <= HERMITICITY_ATOL and lowest[index] < -POSITIVITY_ATOL:
         problems.append(f"not positive semidefinite (min eigenvalue = {lowest[index]:.3e})")
     where = _position(invalid)
     return "invalid density matrix: " + (where + ": " if where else "") + "; ".join(problems)

@@ -17,15 +17,14 @@ of its spectrum is the witness and its sign the verdict.
 
 Every function takes rho of shape (..., 4, 4), or any array-like w, and
 broadcasts over the leading axes; a single state gives Python floats and
-bools, a stack gives arrays of its leading shape.  witness_report and
-concurrence raise validate's ValueError for the first state of the stack
-that validate would reject, judged from the eigendecomposition concurrence
-needs anyway; negativity the same short of positivity, which would take a
-second eigensolve.  All three read the state gate's record of their input
-(see uwitness.states): the eigvalsh of rho^PT and C are solved once per
-record and copied out, so validate, witness_report, negativity and
-concurrence on one state make one eigh, one eigvalsh and one svd.  The
-moments are polynomials and pass a NaN through.
+bools, a stack gives arrays of its leading shape.  witness_report,
+negativity and concurrence raise validate's ValueError for the first state
+of the stack that validate would reject.  All three read the state gate's
+record of their input (see uwitness.states), which holds the eigh of rho
+that judged positivity and that concurrence needs anyway: the eigvalsh of
+rho^PT and C are solved once per record and copied out, so validate,
+witness_report, negativity and concurrence on one state make one eigh, one
+eigvalsh and one svd.  The moments are polynomials and pass a NaN through.
 
 Error model: the report's w carries at most a few 1e-15 absolute error,
 since each eigenvalue of rho^PT is off by about eps, and less near w = 0,
@@ -45,7 +44,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .linalg import _positive_part, _real, _result, _trace, partial_transpose
-from .states import _eigh, _require_state
+from .states import _require_state
 
 # witness values within this band of zero are treated as "not detected"
 ENTANGLEMENT_ATOL = 1e-12
@@ -119,11 +118,10 @@ def rescaled_witness(value):
 def negativity(rho: np.ndarray):
     """N = 2 * max(0, -min eigenvalue of rho^PT); equals |sum of negative eigenvalues| * 2.
 
-    The state rule is applied short of positivity: a matrix with a negative
-    eigenvalue passes, since judging it would take an eigensolve of rho on
-    top of the one of rho^PT.
+    ValueError for any input that validate would reject: the state gate's
+    eigh of rho judges positivity here too, on top of the eigvalsh of rho^PT.
     """
-    return _owned(_require_state(rho, positive=False).kept(_spectrum)[0])
+    return _owned(_require_state(rho).kept(_spectrum)[0])
 
 
 def _spectrum(record):
@@ -161,8 +159,8 @@ def concurrence(rho: np.ndarray):
 
 
 def _wootters(record):
-    """C of the record's matrix, from its kept eigh."""
-    return _concurrence(*record.kept(_eigh))
+    """C of the record's matrix, from the eigh that judged its positivity."""
+    return _concurrence(*record.eigh)
 
 
 def _concurrence(d, v):

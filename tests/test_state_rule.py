@@ -4,12 +4,13 @@ validate accepts a matrix whose lowest eigenvalue is down to -POSITIVITY_ATOL
 and whose trace is within TRACE_ATOL of 1.  Every entry point that takes a
 state (validate, witness_report, negativity, concurrence, checks.witness_det
 and sample_shots) passes it through the same gate, so each rejects what
-validate rejects with validate's message; negativity alone does not judge
-positivity, which would take a second eigensolve.  sample_shots samples every
-state validate accepts at n = 2, 3 and 4.  The gate keeps one record of its
-last input, with eigh of rho, positivity read from it, and what is solved of
-it: the eigensolver counts pin that one state through every entry point
-solves each kind once, and the record is never seen, edited or stale.
+validate rejects with validate's message, negativity included.  sample_shots
+samples every state validate accepts at n = 2, 3 and 4.  The gate judges the
+whole rule in one pass, from one eigh of rho, and keeps one record of its
+last input that passed, with that eigh and what is solved of it: the
+eigensolver counts pin that one state through every entry point solves each
+kind once, that a rejected input costs one eigh and leaves the memo as it
+was, and the record is never seen, edited or stale.
 """
 
 import re
@@ -152,11 +153,6 @@ def test_every_entry_point_rejects_as_validate_does(entry, fault):
     bad = FAULTS[fault]
     with pytest.raises(ValueError) as expected:
         validate(bad)
-    if (entry, fault) == ("negativity", "not-psd"):
-        # the documented exception: positivity would take a second eigensolve,
-        # so N is read off rho^PT = rho as it is, twice its eigenvalue -0.1
-        assert negativity(bad) == pytest.approx(0.2, abs=1e-15)
-        return
     _distribution.cache_clear()
     with pytest.raises(ValueError) as raised:
         ENTRY_POINTS[entry](bad)
@@ -193,8 +189,10 @@ def test_witness_report_gate_adds_no_eigensolve(lapack_calls):
 @pytest.mark.parametrize("entry, expected", [
     # the gate reads positivity from the eigh that concurrence needs anyway
     (concurrence, {"eigh": 1, "eigvalsh": 0, "svd": 1}),
-    # the eigvalsh of rho^PT; positivity, which would take another, is not judged
-    (negativity, {"eigh": 0, "eigvalsh": 1, "svd": 0}),
+    # the gate's eigh, which judges positivity, and the eigvalsh of rho^PT: one
+    # solve more than N alone needs on an unseen input, the price of one gate
+    # for every entry point; concurrence and witness_report reuse the eigh
+    (negativity, {"eigh": 1, "eigvalsh": 1, "svd": 0}),
     # the eigh of the record, which concurrence and witness_report reuse
     (validate, {"eigh": 1, "eigvalsh": 0, "svd": 0}),
 ], ids=["concurrence", "negativity", "validate"])
@@ -251,7 +249,7 @@ def test_one_matrix_and_a_stack_of_it_do_not_share_a_record():
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_a_rejected_matrix_raises_the_same_message_again_and_leaves_no_record(fault):
-    for entry in (validate, witness_report, concurrence):
+    for entry in (validate, witness_report, negativity, concurrence):
         _memo.cache_clear()
         messages = []
         for _ in range(2):
@@ -275,15 +273,25 @@ def test_a_caller_cannot_write_into_the_record():
 
 
 def test_the_first_invalid_state_is_named_over_the_whole_rule():
-    # state 1 fails positivity alone, state 3 Hermiticity: the entry points
-    # that judge positivity name state 1, negativity, which does not, state 3
+    # state 1 fails positivity alone, state 3 Hermiticity: every entry point,
+    # negativity included, names state 1
     stack = StateSampler("hs", 53).sample(5)
     stack[1] = np.diag([1.2, -0.1, -0.1, 0.0])
     stack[3, 0, 1] += 1e-6
     not_psd = "invalid density matrix: state 1 of the stack: not positive semidefinite (min eigenvalue = -1.000e-01)"
-    not_hermitian = "invalid density matrix: state 3 of the stack: not Hermitian (max |rho - rho^dag| = 1.000e-06)"
-    for entry, message in ((validate, not_psd), (witness_report, not_psd), (concurrence, not_psd),
-                           (negativity, not_hermitian), (validate, not_psd)):
+    for entry in (validate, witness_report, concurrence, negativity, validate):
         with pytest.raises(ValueError) as raised:
             entry(stack)
-        assert str(raised.value) == message
+        assert str(raised.value) == not_psd
+
+
+def test_a_rejected_input_leaves_the_memo_as_it_was(lapack_calls):
+    witness_report(werner(0.6))
+    assert lapack_calls == {"eigh": 1, "eigvalsh": 1, "svd": 1}
+    # a rejected finite input costs the gate's one eigh and nothing else
+    with pytest.raises(ValueError, match=re.escape("not positive semidefinite (min eigenvalue = -1.000e-01)")):
+        negativity(np.diag([1.2, -0.1, -0.1, 0.0]))
+    assert lapack_calls == {"eigh": 2, "eigvalsh": 1, "svd": 1}
+    # the record of werner(0.6) is still there: no solve of any kind
+    witness_report(werner(0.6))
+    assert lapack_calls == {"eigh": 2, "eigvalsh": 1, "svd": 1}

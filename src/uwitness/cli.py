@@ -90,14 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_state(spec):
-    """Resolve --state into (rho, label).  Named states and files are split by
+    """Resolve --state into rho.  Named states and files are split by
     grammar: anything matching a known name (with optional :param) is named."""
     if spec is None:
         raise UsageError("--state is required for this command")
     head = spec.partition(":")[0].strip()
     if head in states.NAMED_STATES:
         try:
-            return states.named_state(spec), spec
+            return states.named_state(spec)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     if not os.path.exists(spec):
@@ -107,7 +107,7 @@ def _load_state(spec):
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         raise UsageError(f"could not read state file {spec!r}: {exc}") from None
     try:
-        return states.validate(raw), spec
+        return states.validate(raw)
     except ValueError as exc:
         raise CheckFailure(str(exc)) from None
 
@@ -125,10 +125,10 @@ def _derived_seeds(seed: int, k: int) -> list:
 
 
 def cmd_report(args):
-    rho, label = _load_state(args.state)
+    rho = _load_state(args.state)
     rep = witness_report(rho)
     sets = (moments_direct(rho), moments_collective(rho), moments_via_invariants(rho))
-    doc = {"state": label}
+    doc = {"state": args.state}
     doc.update(rep.as_dict())
     doc["moments"] = {m.source: {"pi2": m.pi2, "pi3": m.pi3, "pi4": m.pi4} for m in sets}
     # the largest spread between the routes over the three moments
@@ -155,7 +155,7 @@ def cmd_scatter(args):
 
 
 def cmd_simulate(args) -> tuple:
-    rho, label = _load_state(args.state)
+    rho = _load_state(args.state)
     seed = _require_seed(args)
     if args.shots is None or args.shots < 1:
         raise UsageError("--shots must be a positive total shot budget")
@@ -173,7 +173,7 @@ def cmd_simulate(args) -> tuple:
     est = estimate(records, seed=bootstrap_seed)
     truth = witness_value(moments_direct(rho))
     doc = {
-        "state": label,
+        "state": args.state,
         "seed": seed,
         "shots": args.shots,
         "counts": {str(r.n_copies): [int(c) for c in r.counts] for r in records},

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uwitness import checks, witness
+from uwitness import checks, states, witness
 from uwitness.cli import main
 from uwitness.states import random_pure_state, save_state, werner
 from uwitness.witness import (bounds, lower_bound, moments_direct, rescaled_witness, witness_report,
@@ -19,6 +19,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*argv):
+    """Run `python -W error` with argv in a fresh interpreter that imports
+    uwitness from this checkout: any warning fails the child."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-W", "error", *argv], env=env, capture_output=True, text=True)
+
+
+# unit trace, eigenvalues 1.2, 0, -0.1 and -0.1: off the state rule by positivity alone
+NOT_PSD = np.diag([1.2, -0.1, -0.1, 0.0])
 
 
 class TestReport:
@@ -58,6 +70,36 @@ class TestReport:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
+    def test_werner_half_is_exact_on_every_route(self, capsys):
+        # werner(0.5) is built exactly, and the product of the spectrum of
+        # rho^PT gives its witness -27/4096 and w = 27/256 exactly; its three
+        # moment routes, the collective one on this numpy's gathers and sums
+        # included, read the exact moments to the bit
+        code, out, _ = run(capsys, "--command", "report", "--state", "werner:0.5")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["witness"], doc["w"]) == (-0.006591796875, 0.10546875)
+        for route in ("direct", "collective", "invariants"):
+            m = doc["moments"][route]
+            assert (m["pi2"], m["pi3"], m["pi4"]) == (0.4375, 0.15625, 0.0595703125), route
+
+    def test_state_file_reports_as_the_named_state(self, capsys, tmp_path):
+        # the same state from a file: validate, then witness_report on the
+        # same bytes, which reads the state gate's record; each run starts
+        # with an empty memo, as in its own process, and the report equals
+        # the named one apart from its state label
+        path = tmp_path / "werner.json"
+        save_state(path, werner(0.5))
+        docs = []
+        for spec in ("werner:0.5", str(path)):
+            states._memo.cache_clear()
+            code, out, _ = run(capsys, "--command", "report", "--state", spec)
+            assert code == 0
+            doc = json.loads(out)
+            assert doc.pop("state") == spec
+            docs.append(doc)
+        assert docs[0] == docs[1]
+
     def test_separable_werner_not_entangled(self, capsys):
         code, out, _ = run(capsys, "--command", "report", "--state", "werner:0.3")
         assert code == 0
@@ -74,11 +116,27 @@ class TestReport:
         assert abs(doc["witness"] - (-0.03189375)) < 1e-12
 
     def test_invalid_state_file_is_a_validation_failure(self, capsys, tmp_path):
+        # refused by the state rule before any work: exit 1 and validate's
+        # message; NOT_PSD is judged by the same one pass of the gate as the
+        # two traces, and named by its positivity
         path = tmp_path / "bad.json"
-        save_state(path, 0.9 * np.eye(4) / 4)  # trace 0.9
-        code, _, err = run(capsys, "--command", "report", "--state", str(path))
-        assert code == 1
-        assert "trace" in err
+        for matrix, (command, *flags), message in [
+            (0.9 * np.eye(4) / 4, ["report"], "trace"),
+            (2 * werner(0.5), ["simulate", "--shots", "3000", "--seed", "1"], "invalid density matrix"),
+            (NOT_PSD, ["report"], "not positive semidefinite"),
+        ]:
+            save_state(path, matrix)
+            code, out, err = run(capsys, "--command", command, "--state", str(path), *flags)
+            assert code == 1 and out == "", err
+            assert message in err
+
+    def test_module_entry_point_passes_exit_1_through(self, tmp_path):
+        # python -m uwitness.cli runs the module's own sys.exit(main())
+        path = tmp_path / "not-psd.json"
+        save_state(path, NOT_PSD)
+        proc = run_fresh("-m", "uwitness.cli", "--command", "report", "--state", str(path))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "not positive semidefinite" in proc.stderr
 
     def test_malformed_file_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -219,6 +277,13 @@ class TestScatter:
         assert rep.concurrence > hi + 1e-9
         assert checks.in_corridor(w, lo, rep.negativity, rep.concurrence)
 
+    @pytest.mark.parametrize("ensemble", ["hs", "pure"])
+    def test_reference_sweep_passes(self, capsys, ensemble):
+        code, out, err = run(capsys, "--command", "scatter", "--ensemble", ensemble,
+                             "--samples", "2000", "--seed", "3")
+        assert code == 0 and err == ""
+        assert len(out.splitlines()) == 2001
+
     def test_seed_is_required(self, capsys):
         code, _, err = run(capsys, "--command", "scatter", "--samples", "3")
         assert code == 2
@@ -244,6 +309,20 @@ class TestVerify:
         assert "count 7" in out
         assert "[1.0, 4.0]" in out and "[0.0, 2.0, 4.0]" in out
 
+    @pytest.mark.parametrize("ensemble", ["hs", "pure"])
+    def test_reference_run_passes_and_operator_claims_read_zero(self, capsys, ensemble):
+        # every suite passes, and the two exact operator claims, projector
+        # composition and nondemolition, read exactly 0; on Haar-pure states
+        # the rank-deficient concurrence path and the upper edge C^4 = w
+        code, out, _ = run(capsys, "--command", "verify", "--ensemble", ensemble,
+                           "--samples", "200", "--seed", "3")
+        assert code == 0
+        lines = out.splitlines()
+        assert "overall: PASS" in lines
+        for claim in ("pairwise-composed projectors", "stage-1 parity is nondemolition"):
+            line = next(x for x in lines if claim in x)
+            assert line.endswith("max dev 0.00e+00"), line
+
     def test_corridor_detail_reads_the_entangled_states(self, capsys):
         # separable states sit on every edge; the detail must not read 0
         code, out, _ = run(capsys, "--command", "verify", "--samples", "200", "--seed", "5")
@@ -260,12 +339,10 @@ class TestVerify:
     def test_fresh_process_leaves_numpy_ma_unimported(self):
         # np.unique's first call imports numpy.ma, some 14 ms of every fresh
         # verify process; the spectra are deduplicated without it
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         script = ("import sys; from uwitness.cli import main; "
                   "code = main(['--command', 'verify', '--samples', '2', '--seed', '0']); "
                   "print('numpy.ma' in sys.modules, code)")
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        proc = run_fresh("-c", script)
         assert proc.returncode == 0, proc.stderr
         assert "overall: PASS" in proc.stdout
         assert proc.stdout.splitlines()[-1] == "False 0"
@@ -335,6 +412,12 @@ class TestSimulate:
         assert abs(doc["true_witness"] - (-0.03189375)) < 1e-12
         assert doc["ci_covers_truth"] is True
         assert doc["estimate"]["ci_low"] < doc["estimate"]["witness_hat"] < doc["estimate"]["ci_high"]
+
+    def test_short_run_passes(self, capsys):
+        code, out, err = run(capsys, "--command", "simulate", "--state", "werner:0.7",
+                             "--shots", "3000", "--seed", "1")
+        assert code == 0 and err == ""
+        assert json.loads(out)["shots"] == 3000
 
     def test_state_inside_validation_tolerance_is_sampled(self, capsys, tmp_path):
         # validate accepts an eigenvalue of -5e-10 (within POSITIVITY_ATOL), and
